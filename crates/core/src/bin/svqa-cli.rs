@@ -10,7 +10,8 @@
 //! svqa-cli eval  --images 200 --metrics out.json         # in-process build + metrics dump
 //! svqa-cli repl  --images 500 --verbose                  # interactive loop with traces
 //! svqa-cli stats --images 200                            # build stats + telemetry summary
-//! svqa-cli serve-metrics --images 200 --port 9100        # live Prometheus endpoint
+//! svqa-cli serve --images 200 --port 7878                # query service + live metrics
+//! svqa-cli chaos --images 120 --rates 0,0.2,0.5          # accuracy under KG faults
 //! ```
 //!
 //! `--metrics <file.json>` (on `ask` and `eval`) writes the process-global
@@ -22,9 +23,14 @@
 //! hit/miss/bypass classification, edges scanned, and wall times.
 //! `--trace-out FILE` writes a Chrome trace-event file (open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>); `--profile-out FILE`
-//! writes the machine-readable profile JSON. `serve-metrics` exposes the
-//! live registry at `/metrics` (Prometheus text format), `/metrics.json`,
-//! and the last profiles at `/profiles/recent`.
+//! writes the machine-readable profile JSON. `ask`, `explain` and
+//! `eval --world` run over the loaded snapshot with the library's
+//! `Prepared` parse-and-lint stage and one executor run per question.
+//!
+//! `serve` answers `POST /ask` and `/batch` over a world built in process
+//! and exposes the live registry on the same port: `/metrics` (Prometheus
+//! text format), `/metrics.json`, and the profiles of the last answered
+//! `/ask` requests at `/profiles/recent`.
 //!
 //! The world directory holds the merged graph as a binary snapshot
 //! (`merged.svqg`, see `svqa_graph::binio`) plus the generated questions
@@ -34,14 +40,15 @@
 use std::io::{BufRead, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
 use svqa::dataset::questions::{QaPair, QuestionCounts};
-use svqa::executor::executor::QueryGraphExecutor;
-use svqa::executor::ProfiledRun;
-use svqa::qparser::QueryGraphGenerator;
-use svqa::telemetry::ChromeTrace;
-use svqa::{Svqa, SvqaConfig};
+use svqa::executor::executor::{QueryGraphExecutor, Run};
+use svqa::executor::{ExecutionProfile, Explanation};
+use svqa::graph::Graph;
+use svqa::qlint::{LintReport, Linter, Schema};
+use svqa::qparser::{QueryGraph, QueryGraphGenerator};
+use svqa::telemetry::{ChromeTrace, QueryTrace};
+use svqa::{Prepared, Svqa, SvqaConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,11 +61,10 @@ fn main() -> ExitCode {
         Some("repl") => cmd_repl(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-metrics") => cmd_serve_metrics(&args[1..]),
         Some("chaos") => cmd_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|serve-metrics|chaos> \
+                "usage: svqa-cli <build|ask|explain|lint|eval|repl|stats|serve|chaos> \
                  [--images N] [--seed S] [--out DIR] [--world DIR] [--metrics FILE] \
                  [--corpus FILE] [--explain] [--json] [--trace-out FILE] [--profile-out FILE] \
                  [--port N] [--workers N] [--queue-depth N] [--deadline-ms N] \
@@ -168,7 +174,7 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-fn load_world(dir: &Path) -> Result<(svqa::graph::Graph, Vec<QaPair>), AnyError> {
+fn load_world(dir: &Path) -> Result<(Graph, Vec<QaPair>), AnyError> {
     let snapshot = std::fs::read(dir.join("merged.svqg"))?;
     let graph = svqa::graph::binio::from_bytes(snapshot.into())?;
     let questions: Vec<QaPair> =
@@ -176,45 +182,53 @@ fn load_world(dir: &Path) -> Result<(svqa::graph::Graph, Vec<QaPair>), AnyError>
     Ok((graph, questions))
 }
 
-fn answer_over(graph: &svqa::graph::Graph, question: &str) -> Result<(), AnyError> {
-    let result = answer_over_inner(graph, question);
+/// One question answered over a loaded world.
+struct WorldAnswer {
+    query: QueryGraph,
+    lint: LintReport,
+    trace: QueryTrace,
+    run: Run,
+}
+
+impl WorldAnswer {
+    fn profile(&self) -> ExecutionProfile {
+        ExecutionProfile::assemble(&self.query, &self.run, &self.trace, &self.lint.diagnostics)
+    }
+}
+
+/// Prepare (parse + lint) and run one question over a loaded world graph,
+/// counting the outcome. A loaded snapshot has no breakers to guard.
+fn answer_over(graph: &Graph, question: &str) -> Result<WorldAnswer, AnyError> {
+    let linter = Linter::new(Schema::extract(graph));
+    let Prepared { query, trace } = Prepared::new(question, &QueryGraphGenerator::new(), &linter);
+    let result = query.map_err(AnyError::from).and_then(|(query, lint)| {
+        let run = QueryGraphExecutor::new(graph).run(&query, None)?;
+        Ok(WorldAnswer {
+            query,
+            lint,
+            trace,
+            run,
+        })
+    });
     let counter = match result {
-        Ok(()) => svqa::telemetry::counter::QUESTIONS_ANSWERED,
+        Ok(_) => svqa::telemetry::counter::QUESTIONS_ANSWERED,
         Err(_) => svqa::telemetry::counter::QUESTIONS_FAILED,
     };
     svqa::telemetry::global().incr_counter(counter);
     result
 }
 
-/// Build a linter over a loaded world graph and gate `gq` on it: hard
-/// `Error` diagnostics short-circuit before the executor runs; warnings
-/// and hints come back for display.
-fn lint_world_gate(
-    graph: &svqa::graph::Graph,
-    gq: &svqa::qparser::QueryGraph,
-) -> Result<svqa::qlint::LintReport, AnyError> {
-    let linter = svqa::qlint::Linter::new(svqa::qlint::Schema::extract(graph));
-    let report = linter.lint(gq);
-    if report.has_errors() {
-        return Err(Box::new(svqa::SvqaError::Lint(report)));
-    }
-    Ok(report)
-}
-
-fn answer_over_inner(graph: &svqa::graph::Graph, question: &str) -> Result<(), AnyError> {
-    let generator = QueryGraphGenerator::new();
-    let gq = generator.generate(question)?;
-    println!("query graph ({:?}):", gq.question_type);
-    for (i, v) in gq.vertices.iter().enumerate() {
+/// Print the query graph, lint findings, answer and its evidence.
+fn print_answer(graph: &Graph, answered: &WorldAnswer) {
+    println!("query graph ({:?}):", answered.query.question_type);
+    for (i, v) in answered.query.vertices.iter().enumerate() {
         println!("  v{i}: {}", v.display());
     }
-    let report = lint_world_gate(graph, &gq)?;
-    for d in &report.diagnostics {
+    for d in &answered.lint.diagnostics {
         println!("lint: {d}");
     }
-    let executor = QueryGraphExecutor::new(graph);
-    let (answer, explanation) = executor.execute_explained(&gq)?;
-    println!("answer: {answer}");
+    println!("answer: {}", answered.run.answer);
+    let explanation = Explanation::from_aps(graph, &answered.run.aps);
     let support = explanation.answer_support();
     if !support.is_empty() {
         println!("evidence ({} facts):", support.len());
@@ -225,7 +239,6 @@ fn answer_over_inner(graph: &svqa::graph::Graph, question: &str) -> Result<(), A
             println!("  ... and {} more", support.len() - 8);
         }
     }
-    Ok(())
 }
 
 /// Write the process-global telemetry snapshot as pretty JSON, if asked.
@@ -237,37 +250,15 @@ fn write_metrics(path: Option<&str>) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Parse and execute one question with full plan profiling; the profile
-/// includes the parse stage and lands in the global profile ring.
-fn profile_question(graph: &svqa::graph::Graph, question: &str) -> Result<ProfiledRun, AnyError> {
-    let t0 = Instant::now();
-    let gq = QueryGraphGenerator::new().generate(question)?;
-    let parse_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let t1 = Instant::now();
-    let report = lint_world_gate(graph, &gq)?;
-    let lint_ns = u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let executor = QueryGraphExecutor::new(graph);
-    let mut run = executor.execute_profiled(&gq, None)?;
-    // Reverse order: parse ends up above lint, matching pipeline order.
-    run.profile.prepend_stage(svqa::telemetry::stage::LINT, lint_ns);
-    run.profile.prepend_stage(svqa::telemetry::stage::PARSE, parse_ns);
-    if !report.is_clean() {
-        run.profile.set_lint(report.diagnostics);
-    }
-    svqa::telemetry::global_profiles().push(run.profile.to_json_value());
-    svqa::telemetry::global().incr_counter(svqa::telemetry::counter::QUESTIONS_ANSWERED);
-    Ok(run)
-}
-
 /// Honour `--trace-out` / `--profile-out` for a profiled run.
-fn write_profile_outputs(args: &[String], run: &ProfiledRun) -> Result<(), AnyError> {
+fn write_profile_outputs(args: &[String], profile: &ExecutionProfile) -> Result<(), AnyError> {
     if let Some(path) = flag(args, "--trace-out") {
-        let trace = ChromeTrace::from_query_traces(&[run.profile.query_trace()]);
+        let trace = ChromeTrace::from_query_traces(&[profile.query_trace()]);
         std::fs::write(&path, trace.to_json())?;
         eprintln!("chrome trace written to {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
     if let Some(path) = flag(args, "--profile-out") {
-        std::fs::write(&path, run.profile.to_json_pretty())?;
+        std::fs::write(&path, profile.to_json_pretty())?;
         eprintln!("profile written to {path}");
     }
     Ok(())
@@ -281,21 +272,18 @@ fn cmd_ask(args: &[String]) -> Result<(), AnyError> {
         explain || flag(args, "--trace-out").is_some() || flag(args, "--profile-out").is_some();
     let question = positional(args).ok_or("no question given")?;
     let (graph, _) = load_world(&world)?;
-    let outcome = if wants_profile {
-        match profile_question(&graph, &question) {
-            Ok(run) => {
-                println!("answer: {}", run.answer);
-                if explain {
-                    print!("{}", run.profile.render_tree());
-                }
-                write_profile_outputs(args, &run)?;
-                Ok(())
-            }
-            Err(e) => Err(e),
+    let outcome = answer_over(&graph, &question).and_then(|answered| {
+        if !wants_profile {
+            print_answer(&graph, &answered);
+            return Ok(());
         }
-    } else {
-        answer_over(&graph, &question)
-    };
+        let profile = answered.profile();
+        println!("answer: {}", answered.run.answer);
+        if explain {
+            print!("{}", profile.render_tree());
+        }
+        write_profile_outputs(args, &profile)
+    });
     write_metrics(metrics.as_deref())?;
     outcome
 }
@@ -306,13 +294,13 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
     let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let question = positional(args).ok_or("no question given")?;
     let (graph, _) = load_world(&world)?;
-    let run = profile_question(&graph, &question)?;
+    let profile = answer_over(&graph, &question)?.profile();
     if args.iter().any(|a| a == "--json") {
-        println!("{}", run.profile.to_json_pretty());
+        println!("{}", profile.to_json_pretty());
     } else {
-        print!("{}", run.profile.render_tree());
+        print!("{}", profile.render_tree());
     }
-    write_profile_outputs(args, &run)
+    write_profile_outputs(args, &profile)
 }
 
 /// `lint` — static analysis of query graphs without executing them: one
@@ -446,7 +434,8 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let server = svqa::QueryServer::bind(system, &format!("127.0.0.1:{port}"), serve_config)?;
     let addr = server.local_addr()?;
     println!("serving on http://{addr}");
-    println!("  POST /ask, /batch, /shutdown; GET /healthz, /metrics");
+    println!("  POST /ask, /batch, /shutdown");
+    println!("  GET /healthz, /metrics, /metrics.json, /profiles/recent");
     server.serve()?;
     drop(fault_guard);
     println!("drained, exiting");
@@ -541,29 +530,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// `serve-metrics` — build a world in process, answer its generated
-/// questions once to populate the registry and the profile ring, then
-/// serve both over HTTP until killed.
-fn cmd_serve_metrics(args: &[String]) -> Result<(), AnyError> {
-    let images: usize = flag(args, "--images").map_or(Ok(200), |s| s.parse())?;
-    let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
-    let port: u16 = flag(args, "--port").map_or(Ok(9100), |s| s.parse())?;
-    let (system, mvqa) = build_world(images, seed);
-    let warmup = if args.iter().any(|a| a == "--no-warmup") { 0 } else { 16 };
-    for q in mvqa.questions.iter().take(warmup) {
-        let _ = system.answer_profiled(&q.question, None);
-    }
-    let server = svqa::telemetry::MetricsServer::bind(
-        &format!("127.0.0.1:{port}"),
-        svqa::telemetry::global().clone(),
-        svqa::telemetry::global_profiles().clone(),
-    )?;
-    let addr = server.local_addr()?;
-    println!("serving metrics on http://{addr}/metrics (ctrl-c to stop)");
-    println!("  also: /metrics.json and /profiles/recent");
-    server.serve_forever()
-}
-
 fn cmd_eval(args: &[String]) -> Result<(), AnyError> {
     let metrics = flag(args, "--metrics");
     if let Some(images) = flag(args, "--images") {
@@ -600,23 +566,25 @@ fn cmd_eval(args: &[String]) -> Result<(), AnyError> {
 
 /// Score a loaded world through the §V-B scheduler (shared cache +
 /// frequency-sorted order, so the schedule/match spans record).
-fn eval_world(graph: &svqa::graph::Graph, questions: &[QaPair]) {
+fn eval_world(graph: &Graph, questions: &[QaPair]) {
     use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
 
     let generator = QueryGraphGenerator::new();
+    let linter = Linter::new(Schema::extract(graph));
     let embedder = svqa::nlp::Embedder::new();
-    let mut parsed: Vec<(usize, svqa::qparser::QueryGraph)> = Vec::new();
+    let mut runnable: Vec<usize> = Vec::new();
+    let mut graphs: Vec<QueryGraph> = Vec::new();
     for (i, q) in questions.iter().enumerate() {
-        if let Ok(gq) = generator.generate(&q.question) {
-            parsed.push((i, gq));
+        if let Ok((gq, _)) = Prepared::new(&q.question, &generator, &linter).query {
+            runnable.push(i);
+            graphs.push(gq);
         }
     }
-    let graphs: Vec<_> = parsed.iter().map(|(_, g)| g.clone()).collect();
     let report = QueryScheduler::new(SchedulerConfig::default()).run(graph, &graphs);
     report.cache_stats.record_to(svqa::telemetry::global());
     let mut predicted: Vec<Option<svqa::Answer>> = vec![None; questions.len()];
-    for ((i, _), answer) in parsed.iter().zip(report.answers) {
-        predicted[*i] = answer.ok();
+    for (&i, answer) in runnable.iter().zip(report.answers) {
+        predicted[i] = answer.ok();
     }
     let answered = predicted.iter().flatten().count() as u64;
     let failed = questions.len() as u64 - answered;
@@ -707,22 +675,16 @@ fn cmd_repl(args: &[String]) -> Result<(), AnyError> {
         if question.is_empty() {
             break;
         }
+        let answered = system.answer_with(question, verbose.then_some(&cache), None);
+        match &answered.result {
+            Ok(guarded) => println!("answer: {}", guarded.answer),
+            Err(e) => println!("could not answer: {e}"),
+        }
         if verbose {
-            let (result, trace) = system.answer_traced(question, Some(&cache));
-            match result {
-                Ok(answer) => println!("answer: {answer}"),
-                Err(e) => println!("could not answer: {e}"),
-            }
-            println!("  {}", trace.summary_line());
-        } else {
-            match system.answer_explained(question) {
-                Ok((answer, explanation)) => {
-                    println!("answer: {answer}");
-                    for fact in explanation.answer_support().iter().take(5) {
-                        println!("  {}", fact.display());
-                    }
-                }
-                Err(e) => println!("could not answer: {e}"),
+            println!("  {}", answered.trace.summary_line());
+        } else if let Some(explanation) = system.explanation(&answered) {
+            for fact in explanation.answer_support().iter().take(5) {
+                println!("  {}", fact.display());
             }
         }
     }

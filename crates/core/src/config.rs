@@ -19,7 +19,7 @@ pub struct SvqaConfig {
     /// Multi-query scheduling and caching (§V-B).
     pub scheduler: SchedulerConfig,
     /// Failure handling: circuit-breaker, retry, and partial-answer tuning
-    /// used by `Svqa::answer_guarded` and `svqa serve`.
+    /// used by every answer path (`Svqa::answer_prepared`, batches included).
     pub degrade: svqa_fault::DegradePolicy,
 }
 

@@ -6,7 +6,7 @@
 //! source is down" is a *view* question, not a storage question: KG
 //! vertices occupy the low id range (absorb order), scene vertices the
 //! rest. When a source's breaker is open,
-//! [`Svqa::answer_guarded`](crate::Svqa::answer_guarded) executes against
+//! [`Svqa::answer_prepared`](crate::Svqa::answer_prepared) executes against
 //! a lazily-built filtered copy of the merged graph that keeps only the
 //! surviving source's vertices, and labels the result
 //! [`AnswerStatus::Degraded`].
@@ -202,22 +202,26 @@ fn attempt_with_retry(
     }
 }
 
-/// Retry a fallible execution closure on injected transient errors, within
-/// the policy and deadline budget. Non-injected errors return immediately.
+/// Retry an execution on injected transient errors, within the policy and
+/// deadline budget: `first` is the outcome of the attempt already made,
+/// `run` makes another. Non-injected errors return immediately.
 pub(crate) fn execute_with_retry<T>(
     retry: &RetryPolicy,
     deadline: Option<Instant>,
+    first: Result<T, svqa_executor::executor::ExecError>,
     mut run: impl FnMut() -> Result<T, svqa_executor::executor::ExecError>,
 ) -> Result<T, svqa_executor::executor::ExecError> {
     let mut attempt = 0u32;
+    let mut outcome = first;
     loop {
-        match run() {
+        match outcome {
             Err(svqa_executor::executor::ExecError::Injected)
                 if retry.fits(attempt, 0x6578, deadline) =>
             {
                 global().incr_counter(counter::FAULT_RETRIES);
                 std::thread::sleep(retry.backoff(attempt, 0x6578));
                 attempt += 1;
+                outcome = run();
             }
             other => return other,
         }

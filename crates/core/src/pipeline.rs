@@ -11,9 +11,9 @@ use std::time::{Duration, Instant};
 use svqa_fault::{BreakerState, Source};
 use svqa_aggregator::DataAggregator;
 use svqa_executor::cache::ShardedCache;
-use svqa_executor::executor::QueryGraphExecutor;
-use svqa_executor::scheduler::{BatchReport, QueryScheduler};
-use svqa_executor::{Answer, CacheStats};
+use svqa_executor::executor::{QueryGraphExecutor, Run};
+use svqa_executor::scheduler::QueryScheduler;
+use svqa_executor::{Answer, CacheStats, ExecutionProfile, Explanation};
 use svqa_graph::Graph;
 use svqa_qlint::{LintReport, Linter, Schema, Severity};
 use svqa_qparser::{QueryGraph, QueryGraphGenerator};
@@ -68,6 +68,87 @@ pub struct BatchOutcome {
     pub cache_stats: CacheStats,
     /// Per-question telemetry traces (original order).
     pub traces: Vec<QueryTrace>,
+    /// How complete the evidence behind the batch's answers was: a batch
+    /// probes its sources once. When every source is down, each question
+    /// that parsed and linted fails with [`SvqaError::Unavailable`] and the
+    /// status lists every source as missing.
+    pub status: AnswerStatus,
+}
+
+/// A question parsed and linted: the first half of every answer path, and
+/// what [`Svqa::answer_prepared`] runs.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    /// The query graph with its lint report (warnings and hints only), or
+    /// why the question cannot run: a parse failure or an error-severity
+    /// lint finding.
+    pub query: Result<(QueryGraph, LintReport), SvqaError>,
+    /// The question's trace so far: parse and lint stage times, and the
+    /// outcome when the question cannot run.
+    pub trace: QueryTrace,
+}
+
+impl Prepared {
+    /// Parse `question` with `generator` and lint the query graph with
+    /// `linter` (recording the `lint` span and counters), timing both
+    /// stages. [`Svqa::prepare`] is this over the system's own parser and
+    /// linter; tools holding only a loaded graph build their own.
+    pub fn new(question: &str, generator: &QueryGraphGenerator, linter: &Linter) -> Prepared {
+        let mut trace = QueryTrace::new(question);
+        let t0 = Instant::now();
+        let parsed = generator.generate(question);
+        trace.record_stage(stage::PARSE, t0.elapsed());
+        let query = match parsed {
+            Err(e) => {
+                trace.outcome = QueryOutcome::ParseError;
+                Err(SvqaError::from(e))
+            }
+            Ok(gq) => {
+                let t1 = Instant::now();
+                let report = lint_counted(linter, &gq);
+                trace.record_stage(stage::LINT, t1.elapsed());
+                if report.has_errors() {
+                    trace.outcome = QueryOutcome::LintError;
+                    Err(SvqaError::Lint(report))
+                } else {
+                    Ok((gq, report))
+                }
+            }
+        };
+        Prepared { query, trace }
+    }
+}
+
+/// Everything one question's run produced: the result, its trace, and the
+/// executor's run — from which callers build the `EXPLAIN ANALYZE`
+/// profile ([`Answered::profile`]) or the answer's supporting evidence
+/// ([`Svqa::explanation`]) when they need them.
+#[derive(Debug)]
+pub struct Answered {
+    /// The answer and how complete its evidence was, or why there is none.
+    pub result: Result<GuardedAnswer, SvqaError>,
+    /// Parse, lint and match stage times, the cache traffic this question
+    /// produced (when a cache was given), and the outcome.
+    pub trace: QueryTrace,
+    /// The executor's run, when execution succeeded.
+    pub run: Option<Run>,
+    /// The query graph and its lint report, when the question got past
+    /// parsing and the lint gate.
+    pub query: Option<(QueryGraph, LintReport)>,
+    /// The source left out of a degraded run (its view is the graph `run`
+    /// refers to).
+    missing: Option<Source>,
+}
+
+impl Answered {
+    /// The `EXPLAIN ANALYZE` profile of this question's run: the plan, with
+    /// the parse and lint stages in front and the lint warnings attached.
+    /// `None` when nothing ran.
+    pub fn profile(&self) -> Option<ExecutionProfile> {
+        let (gq, lint) = self.query.as_ref()?;
+        let run = self.run.as_ref()?;
+        Some(ExecutionProfile::assemble(gq, run, &self.trace, &lint.diagnostics))
+    }
 }
 
 /// The assembled system: merged graph + query pipeline.
@@ -87,7 +168,7 @@ pub struct Svqa {
     /// schema; every `answer*` path runs it before the executor and
     /// short-circuits error-severity findings.
     linter: Linter,
-    /// Per-source circuit breakers for [`answer_guarded`](Self::answer_guarded).
+    /// Per-source circuit breakers for [`answer_prepared`](Self::answer_prepared).
     breakers: Breakers,
     /// Lazily-built merged-graph view without KG vertices (scene evidence
     /// only), for degraded execution when the KG breaker is open.
@@ -188,22 +269,6 @@ impl Svqa {
         links
     }
 
-    /// Answer a question and return the supporting evidence (which images
-    /// and knowledge-graph facts back the answer).
-    pub fn answer_explained(
-        &self,
-        question: &str,
-    ) -> Result<(Answer, svqa_executor::Explanation), SvqaError> {
-        let result = (|| {
-            let gq = self.parse(question)?;
-            self.lint_gate(&gq)?;
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            Ok(executor.execute_explained(&gq)?)
-        })();
-        count_outcome(&result);
-        result
-    }
-
     /// The merged graph `G_mg`.
     pub fn merged_graph(&self) -> &Graph {
         &self.merged
@@ -242,46 +307,46 @@ impl Svqa {
     /// Lint an already-parsed query graph: records the `lint` stage span
     /// and bumps the lint counters.
     pub fn lint_graph(&self, gq: &QueryGraph) -> LintReport {
-        let _span = Span::enter(stage::LINT);
-        let report = self.linter.lint(gq);
-        let errors = report.count(Severity::Error) as u64;
-        let warnings = report.count(Severity::Warning) as u64;
-        if errors > 0 {
-            global().incr_counter_by(counter::LINT_ERRORS, errors);
-        }
-        if warnings > 0 {
-            global().incr_counter_by(counter::LINT_WARNINGS, warnings);
-        }
-        report
+        lint_counted(&self.linter, gq)
     }
 
-    /// Lint-first gate for the `answer*` paths: error-severity findings
-    /// short-circuit execution; otherwise the (possibly warning-bearing)
-    /// report is handed back for attachment to profiles.
-    fn lint_gate(&self, gq: &QueryGraph) -> Result<LintReport, SvqaError> {
-        let report = self.lint_graph(gq);
-        if report.has_errors() {
-            Err(SvqaError::Lint(report))
-        } else {
-            Ok(report)
-        }
+    /// The first half of every answer path: parse and lint `question`,
+    /// timing both stages.
+    pub fn prepare(&self, question: &str) -> Prepared {
+        Prepared::new(question, &self.generator, &self.linter)
     }
 
-    /// Answer a single question end-to-end.
+    /// Answer a single question end-to-end (no shared cache, no deadline).
     pub fn answer(&self, question: &str) -> Result<Answer, SvqaError> {
-        let result = (|| {
-            let gq = self.parse(question)?;
-            self.lint_gate(&gq)?;
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            Ok(executor.execute(&gq)?)
-        })();
-        count_outcome(&result);
-        result
+        self.answer_with(question, None, None).result.map(|g| g.answer)
     }
 
-    /// Answer a question under the failure-handling policy: per-source
-    /// circuit breakers, bounded retries for transient faults, and partial
-    /// answers from the surviving sources.
+    /// [`answer`](Self::answer), plus how complete the evidence behind the
+    /// answer was (see [`answer_prepared`](Self::answer_prepared)).
+    pub fn answer_guarded(
+        &self,
+        question: &str,
+        cache: Option<&ShardedCache>,
+        deadline: Option<Instant>,
+    ) -> Result<GuardedAnswer, SvqaError> {
+        self.answer_with(question, cache, deadline).result
+    }
+
+    /// [`prepare`](Self::prepare) followed by
+    /// [`answer_prepared`](Self::answer_prepared): the one path from a
+    /// question to an answer.
+    pub fn answer_with(
+        &self,
+        question: &str,
+        cache: Option<&ShardedCache>,
+        deadline: Option<Instant>,
+    ) -> Answered {
+        self.answer_prepared(self.prepare(question), cache, deadline)
+    }
+
+    /// Answer a prepared question under the failure-handling policy:
+    /// per-source circuit breakers, bounded retries for transient faults,
+    /// and partial answers from the surviving sources.
     ///
     /// * Both sources up → executes against the full merged graph and
     ///   returns [`AnswerStatus::Full`].
@@ -294,26 +359,80 @@ impl Svqa {
     ///   `Retry-After` hint (the longest remaining breaker cooldown).
     ///
     /// `deadline` bounds injected latency stalls and retry backoff; the
-    /// query server derives it from the request's `deadline_ms`.
-    pub fn answer_guarded(
+    /// query server derives it from the request's `deadline_ms`. The
+    /// result's trace gains the `match` stage and, with a `cache`, the
+    /// cache traffic this question produced.
+    pub fn answer_prepared(
         &self,
-        question: &str,
+        prepared: Prepared,
         cache: Option<&ShardedCache>,
         deadline: Option<Instant>,
-    ) -> Result<GuardedAnswer, SvqaError> {
-        let result = self.answer_guarded_inner(question, cache, deadline);
+    ) -> Answered {
+        let Prepared { query, mut trace } = prepared;
+        let (query, executed) = match query {
+            Err(e) => (None, Err(e)),
+            Ok(query) => {
+                let executed = self.execute_guarded(&query.0, cache, deadline, &mut trace);
+                if executed.is_err() {
+                    trace.outcome = QueryOutcome::ExecError;
+                }
+                (Some(query), executed)
+            }
+        };
+        let (result, run, missing) = match executed {
+            Ok((guarded, run, missing)) => (Ok(guarded), Some(run), missing),
+            Err(e) => (Err(e), None, None),
+        };
         count_outcome(&result);
-        result
+        if result.as_ref().is_ok_and(|g| g.status.is_degraded()) {
+            global().incr_counter(counter::ANSWERS_DEGRADED);
+        }
+        Answered {
+            result,
+            trace,
+            run,
+            query,
+            missing,
+        }
     }
 
-    fn answer_guarded_inner(
+    /// Probe the sources, then run `gq` with retries over the evidence that
+    /// is up. Records the `match` stage (and cache traffic) on `trace`.
+    fn execute_guarded(
         &self,
-        question: &str,
+        gq: &QueryGraph,
         cache: Option<&ShardedCache>,
         deadline: Option<Instant>,
-    ) -> Result<GuardedAnswer, SvqaError> {
-        let gq = self.parse(question)?;
-        self.lint_gate(&gq)?;
+        trace: &mut QueryTrace,
+    ) -> Result<(GuardedAnswer, Run, Option<Source>), SvqaError> {
+        let (status, missing) = self.probe(deadline)?;
+        let cache = if missing.is_none() { cache } else { None };
+        let before = cache.map(ShardedCache::stats);
+        let executor = QueryGraphExecutor::with_config(self.view(missing), self.config.executor);
+        let t0 = Instant::now();
+        let first = executor.run(gq, cache);
+        let executed = execute_with_retry(&self.config.degrade.retry, deadline, first, || {
+            executor.run(gq, cache)
+        });
+        trace.record_stage(stage::MATCH, t0.elapsed());
+        if let (Some(c), Some(before)) = (cache, before) {
+            trace.cache = c.stats().delta_since(&before);
+        }
+        let run = executed?;
+        let guarded = GuardedAnswer {
+            answer: run.answer.clone(),
+            status,
+        };
+        Ok((guarded, run, missing))
+    }
+
+    /// Probe every source once (breaker gate, injection site, retries
+    /// within `deadline`) and decide which evidence a run may use: the
+    /// status its answers get, and the source left out of a degraded run.
+    fn probe(
+        &self,
+        deadline: Option<Instant>,
+    ) -> Result<(AnswerStatus, Option<Source>), SvqaError> {
         let policy = &self.config.degrade;
         let mut missing: Vec<Source> = Vec::new();
         let mut retry_after_ms = policy.breaker.cooldown_ms;
@@ -330,51 +449,46 @@ impl Svqa {
             }
         }
         self.breakers.publish_gauges();
+        let names: Vec<String> = missing.iter().map(|s| s.name().to_owned()).collect();
         if missing.len() == Source::ALL.len() {
             return Err(SvqaError::Unavailable {
-                missing: missing.iter().map(|s| s.name().to_owned()).collect(),
+                missing: names,
                 retry_after_ms,
             });
         }
-        if missing.is_empty() {
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            let answer = execute_with_retry(&policy.retry, deadline, || {
-                executor.execute_cached(&gq, cache).map(|(a, _)| a)
-            })?;
-            return Ok(GuardedAnswer {
-                answer,
-                status: AnswerStatus::Full,
-            });
+        match missing.first() {
+            None => Ok((AnswerStatus::Full, None)),
+            Some(&first) => Ok((
+                AnswerStatus::Degraded {
+                    missing_sources: names,
+                    confidence_penalty: (policy.confidence_penalty * missing.len() as f64)
+                        .min(1.0),
+                },
+                Some(first),
+            )),
         }
-        let view = match missing[0] {
-            Source::Kg => self.scene_view(),
-            Source::Scene => self.kg_view(),
-        };
-        let executor = QueryGraphExecutor::with_config(view, self.config.executor);
-        let answer = execute_with_retry(&policy.retry, deadline, || {
-            executor.execute_cached(&gq, None).map(|(a, _)| a)
-        })?;
-        global().incr_counter(counter::ANSWERS_DEGRADED);
-        Ok(GuardedAnswer {
-            answer,
-            status: AnswerStatus::Degraded {
-                missing_sources: missing.iter().map(|s| s.name().to_owned()).collect(),
-                confidence_penalty: (policy.confidence_penalty * missing.len() as f64).min(1.0),
-            },
-        })
     }
 
-    /// The scene-only view of the merged graph (KG vertices filtered out),
-    /// built on first use.
-    fn scene_view(&self) -> &Graph {
-        self.scene_view
-            .get_or_init(|| filter_view(&self.merged, |i| i >= self.kg_vertex_count))
+    /// The graph a run uses: the full merged graph, or the surviving
+    /// source's view when `missing` is down (built on first use).
+    fn view(&self, missing: Option<Source>) -> &Graph {
+        match missing {
+            None => &self.merged,
+            Some(Source::Kg) => self
+                .scene_view
+                .get_or_init(|| filter_view(&self.merged, |i| i >= self.kg_vertex_count)),
+            Some(Source::Scene) => self
+                .kg_view
+                .get_or_init(|| filter_view(&self.merged, |i| i < self.kg_vertex_count)),
+        }
     }
 
-    /// The KG-only view (scene vertices filtered out), built on first use.
-    fn kg_view(&self) -> &Graph {
-        self.kg_view
-            .get_or_init(|| filter_view(&self.merged, |i| i < self.kg_vertex_count))
+    /// The supporting evidence behind an answered question (which images
+    /// and knowledge-graph facts back the answer), over the graph its run
+    /// used. `None` when nothing ran.
+    pub fn explanation(&self, answered: &Answered) -> Option<Explanation> {
+        let run = answered.run.as_ref()?;
+        Some(Explanation::from_aps(self.view(answered.missing), &run.aps))
     }
 
     /// The per-source circuit breakers guarding this system.
@@ -393,171 +507,135 @@ impl Svqa {
         self.breakers.health()
     }
 
-    /// Answer a single question with a caller-provided shared cache.
-    pub fn answer_cached(
-        &self,
-        question: &str,
-        cache: &ShardedCache,
-    ) -> Result<Answer, SvqaError> {
-        self.answer_traced(question, Some(cache)).0
-    }
-
-    /// Answer a single question and return its [`QueryTrace`]: per-stage
-    /// wall-clock times, exact cache traffic (when a cache is supplied),
-    /// and the terminal outcome. Powers `svqa-cli repl --verbose`.
-    pub fn answer_traced(
-        &self,
-        question: &str,
-        cache: Option<&ShardedCache>,
-    ) -> (Result<Answer, SvqaError>, QueryTrace) {
-        let mut trace = QueryTrace::new(question);
-        let before = cache.map(ShardedCache::stats).unwrap_or_default();
-
-        let t0 = Instant::now();
-        let parsed = self.parse(question);
-        trace.record_stage(stage::PARSE, t0.elapsed());
-
-        let result = match parsed {
-            Ok(gq) => {
-                let t_lint = Instant::now();
-                let lint = self.lint_graph(&gq);
-                trace.record_stage(stage::LINT, t_lint.elapsed());
-                if lint.has_errors() {
-                    trace.outcome = QueryOutcome::LintError;
-                    Err(SvqaError::Lint(lint))
-                } else {
-                    let executor =
-                        QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-                    let t1 = Instant::now();
-                    let executed = executor.execute_cached(&gq, cache).map(|(a, _)| a);
-                    trace.record_stage(stage::MATCH, t1.elapsed());
-                    if executed.is_err() {
-                        trace.outcome = QueryOutcome::ExecError;
-                    }
-                    executed.map_err(SvqaError::from)
-                }
-            }
-            Err(e) => {
-                trace.outcome = QueryOutcome::ParseError;
-                Err(e)
-            }
-        };
-        if let Some(c) = cache {
-            trace.cache = c.stats().delta_since(&before);
-        }
-        count_outcome(&result);
-        (result, trace)
-    }
-
-    /// Answer a question and return the full `EXPLAIN ANALYZE` bundle:
-    /// answer, plan-level [`ExecutionProfile`](svqa_executor::ExecutionProfile)
-    /// (with the parse stage prepended), and answer provenance. The profile
-    /// is also pushed into the global telemetry profile ring, where
-    /// `svqa-cli serve-metrics` exposes it at `/profiles/recent`.
-    pub fn answer_profiled(
-        &self,
-        question: &str,
-        cache: Option<&ShardedCache>,
-    ) -> Result<svqa_executor::ProfiledRun, SvqaError> {
-        let result = (|| {
-            let t0 = Instant::now();
-            let gq = self.parse(question)?;
-            let parse_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let t1 = Instant::now();
-            let lint = self.lint_gate(&gq)?;
-            let lint_ns = u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let executor = QueryGraphExecutor::with_config(&self.merged, self.config.executor);
-            let mut run = executor.execute_profiled(&gq, cache)?;
-            // Prepend in reverse: lint first so parse ends up on top.
-            run.profile.prepend_stage(stage::LINT, lint_ns);
-            run.profile.prepend_stage(stage::PARSE, parse_ns);
-            if !lint.is_clean() {
-                run.profile.set_lint(lint.diagnostics);
-            }
-            svqa_telemetry::global_profiles().push(run.profile.to_json_value());
-            Ok(run)
-        })();
-        count_outcome(&result);
-        result
-    }
-
     /// Answer a batch with the §V-B optimized scheduler (frequency-sorted
     /// order, shared key-centric cache, optional parallelism). Each call
     /// starts from a cold cache; long-lived callers (the query server)
     /// should hold a [`ShardedCache`] and use
-    /// [`answer_batch_cached`](Self::answer_batch_cached) so hits carry
-    /// over between batches.
+    /// [`answer_batch_with`](Self::answer_batch_with) so hits carry over
+    /// between batches.
     pub fn answer_batch(&self, questions: &[&str]) -> BatchOutcome {
         let cache = QueryScheduler::new(self.config.scheduler).build_cache();
-        self.answer_batch_cached(questions, &cache)
+        self.answer_batch_with(questions, &cache, None)
     }
 
     /// [`answer_batch`](Self::answer_batch) against a caller-provided
-    /// persistent cache: scopes and paths cached by earlier requests
-    /// (single questions or whole batches) accelerate this one.
+    /// persistent cache, with no deadline.
     pub fn answer_batch_cached(&self, questions: &[&str], cache: &ShardedCache) -> BatchOutcome {
+        self.answer_batch_with(questions, cache, None)
+    }
+
+    /// The batch path: [`prepare`](Self::prepare) every question, probe
+    /// the sources once for the whole batch (as
+    /// [`answer_prepared`](Self::answer_prepared) does per question), then
+    /// run the prepared query graphs through the scheduler over the
+    /// evidence that is up. Scopes and paths cached by earlier requests in
+    /// `cache` accelerate this batch; a degraded batch runs over the
+    /// surviving view with a throwaway cache. `deadline` bounds the probe
+    /// and the retries of injected execution faults.
+    pub fn answer_batch_with(
+        &self,
+        questions: &[&str],
+        cache: &ShardedCache,
+        deadline: Option<Instant>,
+    ) -> BatchOutcome {
         let start = Instant::now();
-        // Parse phase (per-question failures recorded, not fatal).
-        let mut parsed: Vec<(usize, QueryGraph)> = Vec::with_capacity(questions.len());
         let mut answers: Vec<Option<Result<Answer, SvqaError>>> =
-            (0..questions.len()).map(|_| None).collect();
-        let mut per_query = vec![Duration::ZERO; questions.len()];
-        let mut traces: Vec<QueryTrace> =
-            questions.iter().map(|q| QueryTrace::new(*q)).collect();
-        for (i, q) in questions.iter().enumerate() {
-            let t0 = Instant::now();
-            match self.generator.generate(q) {
-                Ok(gq) => {
-                    traces[i].record_stage(stage::PARSE, t0.elapsed());
-                    let t_lint = Instant::now();
-                    let lint = self.lint_graph(&gq);
-                    traces[i].record_stage(stage::LINT, t_lint.elapsed());
-                    if lint.has_errors() {
-                        traces[i].outcome = QueryOutcome::LintError;
-                        answers[i] = Some(Err(SvqaError::Lint(lint)));
-                    } else {
-                        parsed.push((i, gq));
+            Vec::with_capacity(questions.len());
+        let mut traces: Vec<QueryTrace> = Vec::with_capacity(questions.len());
+        let mut per_query: Vec<Duration> = Vec::with_capacity(questions.len());
+        // Original indices and query graphs of the questions that may run.
+        let mut runnable: Vec<usize> = Vec::new();
+        let mut graphs: Vec<QueryGraph> = Vec::new();
+        for (i, question) in questions.iter().enumerate() {
+            let Prepared { query, trace } = self.prepare(question);
+            per_query.push(trace.total());
+            traces.push(trace);
+            match query {
+                Ok((gq, _)) => {
+                    runnable.push(i);
+                    graphs.push(gq);
+                    answers.push(None);
+                }
+                Err(e) => answers.push(Some(Err(e))),
+            }
+        }
+        let mut status = AnswerStatus::Full;
+        let mut cache_stats = CacheStats::default();
+        if !graphs.is_empty() {
+            match self.probe(deadline) {
+                Err(e) => {
+                    if let SvqaError::Unavailable { missing, .. } = &e {
+                        status = AnswerStatus::Degraded {
+                            missing_sources: missing.clone(),
+                            confidence_penalty: 1.0,
+                        };
+                    }
+                    for &i in &runnable {
+                        traces[i].outcome = QueryOutcome::ExecError;
+                        answers[i] = Some(Err(e.clone()));
                     }
                 }
-                Err(e) => {
-                    traces[i].record_stage(stage::PARSE, t0.elapsed());
-                    traces[i].outcome = QueryOutcome::ParseError;
-                    answers[i] = Some(Err(e.into()));
+                Ok((probed, missing)) => {
+                    let graph = self.view(missing);
+                    let scheduler = QueryScheduler::new(self.config.scheduler);
+                    let throwaway;
+                    let cache = if missing.is_none() {
+                        cache
+                    } else {
+                        throwaway = scheduler.build_cache();
+                        &throwaway
+                    };
+                    // The linter's cardinality estimates are join-order
+                    // hints: ties in the frequency ordering break toward
+                    // cheaper plans.
+                    let hints: Vec<f64> =
+                        graphs.iter().map(|g| self.linter.cost(g).total).collect();
+                    let report =
+                        scheduler.run_with_cache_hinted(graph, &graphs, cache, Some(&hints));
+                    // Injected execution faults are retried one question at
+                    // a time, on an executor built only if one happens.
+                    let mut retrier = None;
+                    let retry = &self.config.degrade.retry;
+                    for ((&i, gq), (first, dt)) in runnable
+                        .iter()
+                        .zip(&graphs)
+                        .zip(report.answers.into_iter().zip(report.per_query))
+                    {
+                        let answer = execute_with_retry(retry, deadline, first, || {
+                            retrier
+                                .get_or_insert_with(|| {
+                                    QueryGraphExecutor::with_config(graph, self.config.executor)
+                                })
+                                .run(gq, Some(cache))
+                                .map(|run| run.answer)
+                        });
+                        if answer.is_err() {
+                            traces[i].outcome = QueryOutcome::ExecError;
+                        } else if probed.is_degraded() {
+                            global().incr_counter(counter::ANSWERS_DEGRADED);
+                        }
+                        traces[i].record_stage(stage::MATCH, dt);
+                        per_query[i] += dt;
+                        answers[i] = Some(answer.map_err(SvqaError::from));
+                    }
+                    report.cache_stats.record_to(global());
+                    // The cache is shared across the batch, so per-question
+                    // attribution is an even split (documented as
+                    // approximate on `QueryTrace`).
+                    let executed = runnable.len() as u64;
+                    let share = CacheStats {
+                        scope_hits: report.cache_stats.scope_hits / executed,
+                        scope_misses: report.cache_stats.scope_misses / executed,
+                        path_hits: report.cache_stats.path_hits / executed,
+                        path_misses: report.cache_stats.path_misses / executed,
+                    };
+                    for &i in &runnable {
+                        traces[i].cache = share;
+                    }
+                    cache_stats = report.cache_stats;
+                    status = probed;
                 }
             }
-            per_query[i] = t0.elapsed();
-        }
-        // Execution phase via the scheduler, with the linter's cardinality
-        // estimates as join-order hints (ties in the frequency ordering
-        // break toward cheaper plans).
-        let graphs: Vec<QueryGraph> = parsed.iter().map(|(_, g)| g.clone()).collect();
-        let hints: Vec<f64> = graphs.iter().map(|g| self.linter.cost(g).total).collect();
-        let scheduler = QueryScheduler::new(self.config.scheduler);
-        let report: BatchReport =
-            scheduler.run_with_cache_hinted(&self.merged, &graphs, cache, Some(&hints));
-        for ((orig, _), (answer, dt)) in parsed
-            .iter()
-            .zip(report.answers.into_iter().zip(report.per_query))
-        {
-            if answer.is_err() {
-                traces[*orig].outcome = QueryOutcome::ExecError;
-            }
-            traces[*orig].record_stage(stage::MATCH, dt);
-            answers[*orig] = Some(answer.map_err(SvqaError::from));
-            per_query[*orig] += dt;
-        }
-        report.cache_stats.record_to(global());
-        // The cache is shared across the batch, so per-question attribution
-        // is an even split (documented as approximate on `QueryTrace`).
-        let executed = parsed.len().max(1) as u64;
-        let share = CacheStats {
-            scope_hits: report.cache_stats.scope_hits / executed,
-            scope_misses: report.cache_stats.scope_misses / executed,
-            path_hits: report.cache_stats.path_hits / executed,
-            path_misses: report.cache_stats.path_misses / executed,
-        };
-        for (orig, _) in &parsed {
-            traces[*orig].cache = share;
         }
         let answers: Vec<Result<Answer, SvqaError>> = answers
             .into_iter()
@@ -570,10 +648,27 @@ impl Svqa {
             answers,
             total: start.elapsed(),
             per_query,
-            cache_stats: report.cache_stats,
+            cache_stats,
             traces,
+            status,
         }
     }
+}
+
+/// Lint `gq`, recording the `lint` stage span and bumping the lint
+/// counters.
+fn lint_counted(linter: &Linter, gq: &QueryGraph) -> LintReport {
+    let _span = Span::enter(stage::LINT);
+    let report = linter.lint(gq);
+    let errors = report.count(Severity::Error) as u64;
+    let warnings = report.count(Severity::Warning) as u64;
+    if errors > 0 {
+        global().incr_counter_by(counter::LINT_ERRORS, errors);
+    }
+    if warnings > 0 {
+        global().incr_counter_by(counter::LINT_WARNINGS, warnings);
+    }
+    report
 }
 
 /// Bump the global answered/failed counters for a finished question.
@@ -653,9 +748,9 @@ mod tests {
     #[test]
     fn explained_answers_cite_images() {
         let (system, _) = small_system();
-        let (answer, explanation) = system
-            .answer_explained("Does the dog appear in the car?")
-            .unwrap();
+        let answered = system.answer_with("Does the dog appear in the car?", None, None);
+        let answer = answered.result.as_ref().unwrap().answer.clone();
+        let explanation = system.explanation(&answered).unwrap();
         if answer.is_yes() {
             assert!(!explanation.cited_images().is_empty());
             assert!(explanation.fact_count() > 0);
@@ -665,25 +760,23 @@ mod tests {
     }
 
     #[test]
-    fn profiled_answers_match_and_reach_the_profile_ring() {
+    fn answered_profiles_carry_every_stage_and_the_plan() {
         let (system, _) = small_system();
         let q = "Does the dog appear in the car?";
         let plain = system.answer(q).unwrap();
-        let run = system.answer_profiled(q, None).unwrap();
-        assert_eq!(run.answer, plain);
-        assert_eq!(run.profile.question, q);
-        // parse + match stages, with per-quadruple children under match.
-        assert!(run.profile.stages.len() >= 2);
-        assert_eq!(run.profile.stages[0].stage, stage::PARSE);
-        assert!(!run.profile.quads.is_empty());
-        assert!(run.profile.render_tree().contains("EXPLAIN ANALYZE"));
-        // The global profile ring saw it (other tests may push too, so
-        // only require presence).
-        let ring = svqa_telemetry::global_profiles();
-        assert!(ring
-            .recent()
-            .iter()
-            .any(|p| p["question"].as_str() == Some(q)));
+        let answered = system.answer_with(q, None, None);
+        assert_eq!(answered.result.as_ref().unwrap().answer, plain);
+        let profile = answered.profile().unwrap();
+        assert_eq!(profile.question, q);
+        let stages: Vec<&str> = profile.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, [stage::PARSE, stage::LINT, stage::MATCH]);
+        assert!(!profile.quads.is_empty());
+        assert!(profile.render_tree().contains("EXPLAIN ANALYZE"));
+        // A question that never ran has neither a profile nor evidence.
+        let failed = system.answer_with("the red dog", None, None);
+        assert!(matches!(failed.result, Err(SvqaError::Parse(_))));
+        assert!(failed.profile().is_none());
+        assert!(system.explanation(&failed).is_none());
     }
 
     #[test]
@@ -699,5 +792,6 @@ mod tests {
             assert_eq!(b.as_ref().unwrap(), &single);
         }
         assert!(batch.total > Duration::ZERO);
+        assert_eq!(batch.status, AnswerStatus::Full);
     }
 }

@@ -6,10 +6,12 @@
 //! observability routes:
 //!
 //! * `POST /ask` — `{"question": "...", "deadline_ms"?: N}` → the answer,
-//!   plus the exact cache traffic this question generated;
+//!   its evidence status, and the exact cache traffic this question
+//!   generated; its `EXPLAIN ANALYZE` profile goes to `/profiles/recent`;
 //! * `POST /batch` — `{"questions": [...], "deadline_ms"?: N}` → per-
 //!   question answers via the §V-B scheduler (frequency-sorted order,
-//!   shared cache, configured parallelism);
+//!   shared cache, configured parallelism), under the same breaker,
+//!   degradation and deadline contract as `/ask`;
 //! * `GET /healthz` — liveness plus graph/queue shape (answered inline,
 //!   never queued, so health stays green under load);
 //! * `POST /shutdown` — graceful drain: stop accepting, finish queued
@@ -41,7 +43,7 @@
 
 use crate::degrade::AnswerStatus;
 use crate::error::SvqaError;
-use crate::pipeline::Svqa;
+use crate::pipeline::{Prepared, Svqa};
 use std::collections::VecDeque;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,9 +81,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// What a worker is asked to do.
+/// What a worker is asked to do. An `/ask` question arrives already
+/// parsed and linted: the connection thread prepared it at the door.
 enum Work {
-    Ask(String),
+    Ask(Prepared),
     Batch(Vec<String>),
 }
 
@@ -304,17 +307,15 @@ impl QueryServer {
         let Some(question) = body.get("question").and_then(|q| q.as_str()) else {
             return bad_request("missing-field", "missing string field 'question'");
         };
-        // Lint at the door: a question whose query graph provably cannot
-        // produce answers is rejected on the connection thread with the
-        // full diagnostics, without burning a worker slot on it.
-        match self.system.lint(question) {
-            Err(e) => return error_response(&e),
-            Ok(report) if report.has_errors() => {
-                return error_response(&SvqaError::Lint(report))
-            }
-            Ok(_) => {}
+        // Parse and lint at the door: a question whose query graph provably
+        // cannot produce answers is rejected on the connection thread with
+        // the full diagnostics, without burning a worker slot on it. The
+        // worker runs the prepared query as is.
+        let prepared = self.system.prepare(question);
+        if let Err(e) = &prepared.query {
+            return error_response(e);
         }
-        self.submit(Work::Ask(question.to_owned()), self.deadline_of(&body))
+        self.submit(Work::Ask(prepared), self.deadline_of(&body))
     }
 
     fn handle_batch(&self, req: &Request) -> Response {
@@ -421,9 +422,9 @@ impl QueryServer {
                     if fault == Some(svqa_fault::FaultKind::Error) {
                         panic!("injected fault: serve.worker");
                     }
-                    match &work {
-                        Work::Ask(question) => self.answer_one(question, deadline),
-                        Work::Batch(questions) => self.answer_many(questions),
+                    match work {
+                        Work::Ask(prepared) => self.answer_one(prepared, deadline),
+                        Work::Batch(questions) => self.answer_many(&questions, deadline),
                     }
                 }));
                 run.unwrap_or_else(|_| {
@@ -436,47 +437,39 @@ impl QueryServer {
         }
     }
 
-    fn answer_one(&self, question: &str, deadline: Instant) -> Response {
-        let before = self.cache.stats();
-        let result = self
+    fn answer_one(&self, prepared: Prepared, deadline: Instant) -> Response {
+        let answered = self
             .system
-            .answer_guarded(question, Some(&self.cache), Some(deadline));
-        let cache = self.cache.stats().delta_since(&before);
-        match result {
-            Ok(guarded) => {
-                let body = match &guarded.status {
-                    AnswerStatus::Full => serde_json::json!({
-                        "question": question,
-                        "answer": guarded.answer,
-                        "answer_text": guarded.answer.to_string(),
-                        "status": guarded.status.label(),
-                        "cache": cache,
-                    }),
-                    AnswerStatus::Degraded {
-                        missing_sources,
-                        confidence_penalty,
-                    } => serde_json::json!({
-                        "question": question,
-                        "answer": guarded.answer,
-                        "answer_text": guarded.answer.to_string(),
-                        "status": guarded.status.label(),
-                        "missing_sources": missing_sources,
-                        "confidence_penalty": confidence_penalty,
-                        "cache": cache,
-                    }),
-                };
-                Response::json(
-                    200,
-                    serde_json::to_string(&body).expect("answer serialization is infallible"),
-                )
-            }
+            .answer_prepared(prepared, Some(&self.cache), Some(deadline));
+        if let Some(profile) = answered.profile() {
+            global_profiles().push(profile.to_json_value());
+        }
+        match answered.result {
+            Ok(guarded) => answered_response(
+                serde_json::json!({
+                    "question": answered.trace.question,
+                    "answer": guarded.answer,
+                    "answer_text": guarded.answer.to_string(),
+                    "cache": answered.trace.cache,
+                }),
+                &guarded.status,
+            ),
             Err(e) => error_response(&e),
         }
     }
 
-    fn answer_many(&self, questions: &[String]) -> Response {
+    fn answer_many(&self, questions: &[String], deadline: Instant) -> Response {
         let refs: Vec<&str> = questions.iter().map(String::as_str).collect();
-        let outcome = self.system.answer_batch_cached(&refs, &self.cache);
+        let outcome = self
+            .system
+            .answer_batch_with(&refs, &self.cache, Some(deadline));
+        let unavailable = outcome
+            .answers
+            .iter()
+            .find_map(|r| r.as_ref().err().filter(|e| matches!(e, SvqaError::Unavailable { .. })));
+        if let Some(e) = unavailable {
+            return error_response(e);
+        }
         let answers: Vec<serde_json::Value> = outcome
             .answers
             .iter()
@@ -488,15 +481,40 @@ impl QueryServer {
                 Err(e) => serde_json::json!({ "error": e.to_string() }),
             })
             .collect();
-        Response::json(
-            200,
-            serde_json::to_string(&serde_json::json!({
+        answered_response(
+            serde_json::json!({
                 "answers": answers,
                 "cache": outcome.cache_stats,
-            }))
-            .expect("batch serialization is infallible"),
+            }),
+            &outcome.status,
         )
     }
+}
+
+/// A 200 carrying `body` plus the evidence-status fields `/ask` and
+/// `/batch` share: `status`, and when degraded `missing_sources` and
+/// `confidence_penalty`.
+fn answered_response(body: serde_json::Value, status: &AnswerStatus) -> Response {
+    let serde_json::Value::Object(mut fields) = body else {
+        unreachable!("response bodies are JSON objects");
+    };
+    fields.insert("status".to_owned(), serde_json::json!(status.label()));
+    if let AnswerStatus::Degraded {
+        missing_sources,
+        confidence_penalty,
+    } = status
+    {
+        fields.insert("missing_sources".to_owned(), serde_json::json!(missing_sources));
+        fields.insert(
+            "confidence_penalty".to_owned(),
+            serde_json::json!(confidence_penalty),
+        );
+    }
+    Response::json(
+        200,
+        serde_json::to_string(&serde_json::Value::Object(fields))
+            .expect("answer serialization is infallible"),
+    )
 }
 
 fn parse_body(req: &Request) -> Result<serde_json::Value, Response> {

@@ -304,6 +304,7 @@ impl KeyCentricCache {
     }
 
     /// Every key currently resident in either pool (scope first).
+    #[cfg(debug_assertions)]
     fn resident_keys(&self) -> impl Iterator<Item = &str> {
         self.scope
             .map
@@ -329,6 +330,7 @@ impl KeyCentricCache {
 pub struct ShardedCache {
     shards: Vec<Mutex<KeyCentricCache>>,
     /// The caller's total item budget (what the shard budgets must sum to).
+    #[cfg(debug_assertions)]
     pool_size: usize,
 }
 
@@ -354,6 +356,7 @@ impl ShardedCache {
                     Mutex::new(KeyCentricCache::new(granularity, policy, budget))
                 })
                 .collect(),
+            #[cfg(debug_assertions)]
             pool_size,
         };
         cache.debug_assert_invariants();

@@ -183,9 +183,24 @@ pub struct VertexTrace {
     pub elapsed_ns: u64,
 }
 
-/// Internal result of one Algorithm-3 run: answer, per-vertex traces, and
-/// per-vertex accepted pairs.
-type RunOutput = (Answer, Vec<VertexTrace>, Vec<Vec<RelationPair>>);
+/// One Algorithm-3 run: the answer plus everything the executor recorded
+/// on the way — the raw material of `EXPLAIN ANALYZE` profiles
+/// ([`ExecutionProfile::assemble`](crate::profile::ExecutionProfile::assemble))
+/// and answer provenance
+/// ([`Explanation::from_aps`](crate::explain::Explanation::from_aps)).
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The answer.
+    pub answer: Answer,
+    /// Execution order over the query-graph vertices.
+    pub order: Vec<usize>,
+    /// Per-vertex traces, indexed by query-graph vertex.
+    pub traces: Vec<VertexTrace>,
+    /// Per-vertex accepted pairs (`AP`), indexed by query-graph vertex.
+    pub aps: Vec<Vec<RelationPair>>,
+    /// Wall-clock time of the run, ns.
+    pub total_ns: u64,
+}
 
 /// The executor.
 pub struct QueryGraphExecutor<'g> {
@@ -220,75 +235,21 @@ impl<'g> QueryGraphExecutor<'g> {
         }
     }
 
-    /// Execute a query graph without caching.
-    pub fn execute(&self, gq: &QueryGraph) -> Result<Answer, ExecError> {
-        self.execute_cached(gq, None).map(|(a, _)| a)
-    }
-
-    /// Execute and return the answer together with its provenance (the
-    /// support facts behind every query-graph vertex).
-    pub fn execute_explained(
-        &self,
-        gq: &QueryGraph,
-    ) -> Result<(Answer, crate::explain::Explanation), ExecError> {
-        let (answer, _traces, aps) = self.run(gq, None)?;
-        Ok((answer, crate::explain::Explanation::from_aps(self.graph, &aps)))
-    }
-
-    /// Execute and return the full `EXPLAIN ANALYZE` bundle: the answer,
-    /// a per-quadruple [`ExecutionProfile`](crate::profile::ExecutionProfile)
-    /// (candidate counts, cache classification, timings), and the answer's
-    /// provenance. Cache counters in the profile are the *delta* this
-    /// query produced, so a shared batch cache attributes correctly.
-    pub fn execute_profiled(
-        &self,
-        gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
-    ) -> Result<crate::profile::ProfiledRun, ExecError> {
-        let cache_before = cache.map(ShardedCache::stats).unwrap_or_default();
-        let t0 = Instant::now();
-        let (answer, traces, aps) = self.run(gq, cache)?;
-        let total_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let cache_delta = cache
-            .map(|c| c.stats().delta_since(&cache_before))
-            .unwrap_or_default();
-        let order = gq.execution_order().expect("run() validated acyclicity");
-        let explanation = crate::explain::Explanation::from_aps(self.graph, &aps);
-        let profile = crate::profile::ExecutionProfile::assemble(
-            gq,
-            &answer,
-            order,
-            traces,
-            total_ns,
-            cache_delta,
-        );
-        Ok(crate::profile::ProfiledRun {
-            answer,
-            profile,
-            explanation,
-        })
-    }
-
-    /// Execute with an optional shared key-centric cache (sharded, so
-    /// parallel callers do not serialize on one lock); returns the answer
-    /// and the per-vertex trace.
+    /// Execute with an optional shared key-centric cache and return the
+    /// answer with its per-vertex trace ([`run`](Self::run), trimmed).
     pub fn execute_cached(
         &self,
         gq: &QueryGraph,
         cache: Option<&ShardedCache>,
     ) -> Result<(Answer, Vec<VertexTrace>), ExecError> {
-        let (answer, traces, _aps) = self.run(gq, cache)?;
-        Ok((answer, traces))
+        self.run(gq, cache).map(|run| (run.answer, run.traces))
     }
 
-    /// The Algorithm 3 main loop, returning the answer, traces, and every
-    /// vertex's accepted pairs.
-    fn run(
-        &self,
-        gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
-    ) -> Result<RunOutput, ExecError> {
+    /// The Algorithm 3 main loop, with an optional shared key-centric
+    /// cache (sharded, so parallel callers do not serialize on one lock).
+    pub fn run(&self, gq: &QueryGraph, cache: Option<&ShardedCache>) -> Result<Run, ExecError> {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::MATCH);
+        let run_start = Instant::now();
         if gq.is_empty() {
             return Err(ExecError::EmptyQueryGraph);
         }
@@ -300,7 +261,6 @@ impl<'g> QueryGraphExecutor<'g> {
         let mut aps: Vec<Vec<RelationPair>> = vec![Vec::new(); n];
         let mut traces = vec![VertexTrace::default(); n];
 
-        let run_start = Instant::now();
         for &u in &order {
             let spoc = &gq.vertices[u];
             let vertex_start = Instant::now();
@@ -440,7 +400,13 @@ impl<'g> QueryGraphExecutor<'g> {
                 Answer::entity_from_ranked(self.ranked_labels(&answer_vertices))
             }
         };
-        Ok((answer, traces, aps))
+        Ok(Run {
+            answer,
+            order,
+            traces,
+            aps,
+            total_ns: u64::try_from(run_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        })
     }
 
     /// Resolve a SPOC slot to its vertex scope: a propagated binding
@@ -696,7 +662,7 @@ mod tests {
 
     fn run(graph: &Graph, question: &str) -> Answer {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
-        QueryGraphExecutor::new(graph).execute(&gq).unwrap()
+        QueryGraphExecutor::new(graph).run(&gq, None).unwrap().answer
     }
 
     #[test]
@@ -758,8 +724,8 @@ mod tests {
             question: String::new(),
         };
         assert_eq!(
-            QueryGraphExecutor::new(&g).execute(&gq),
-            Err(ExecError::EmptyQueryGraph)
+            QueryGraphExecutor::new(&g).run(&gq, None).err(),
+            Some(ExecError::EmptyQueryGraph)
         );
     }
 
@@ -790,7 +756,7 @@ mod tests {
         let mut plain_answers = Vec::new();
         for q in &questions {
             let gq = gen.generate(q).unwrap();
-            plain_answers.push(exec.execute(&gq).unwrap());
+            plain_answers.push(exec.run(&gq, None).unwrap().answer);
         }
         assert_eq!(cached_answers, plain_answers);
         let stats = cache.stats();
@@ -815,11 +781,11 @@ mod tests {
                 .unwrap()
         };
         let exec = QueryGraphExecutor::new(&g);
-        let at_least_2 = exec.execute(&build("at least 2")).unwrap();
+        let at_least_2 = exec.run(&build("at least 2"), None).unwrap().answer;
         assert_eq!(at_least_2, Answer::Count(2), "{at_least_2:?}"); // n1, n2
-        let exactly_1 = exec.execute(&build("exactly 1")).unwrap();
+        let exactly_1 = exec.run(&build("exactly 1"), None).unwrap().answer;
         assert_eq!(exactly_1, Answer::Count(1), "{exactly_1:?}"); // r3
-        let at_most_1 = exec.execute(&build("at most 1")).unwrap();
+        let at_most_1 = exec.run(&build("at most 1"), None).unwrap().answer;
         assert_eq!(at_most_1, Answer::Count(1), "{at_most_1:?}");
     }
 

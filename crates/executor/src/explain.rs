@@ -5,7 +5,8 @@
 //! human-readable *support facts* — which images (or knowledge-graph
 //! entries) back the answer, through which matched triple. The paper's
 //! Example 5 walks exactly this evidence chain by hand; here it is a
-//! first-class API (`QueryGraphExecutor::execute_explained`).
+//! first-class API ([`Explanation::from_aps`] over a
+//! [`Run`](crate::executor::Run)'s accepted pairs).
 
 use crate::matching::RelationPair;
 use serde::{Deserialize, Serialize};
@@ -50,8 +51,9 @@ pub struct Explanation {
 }
 
 impl Explanation {
-    /// Build from the executor's accepted pairs.
-    pub(crate) fn from_aps(graph: &Graph, aps: &[Vec<RelationPair>]) -> Self {
+    /// Build from the executor's accepted pairs (`Run::aps`) over the graph
+    /// the run executed on.
+    pub fn from_aps(graph: &Graph, aps: &[Vec<RelationPair>]) -> Self {
         let per_vertex = aps
             .iter()
             .map(|ap| {
@@ -137,9 +139,9 @@ mod tests {
         let gq = QueryGraphGenerator::new()
             .generate("Does the dog appear in the car?")
             .unwrap();
-        let ex = QueryGraphExecutor::new(&g);
-        let (answer, explanation) = ex.execute_explained(&gq).unwrap();
-        assert!(answer.is_yes());
+        let run = QueryGraphExecutor::new(&g).run(&gq, None).unwrap();
+        let explanation = Explanation::from_aps(&g, &run.aps);
+        assert!(run.answer.is_yes());
         assert_eq!(explanation.cited_images(), vec![7]);
         let support = explanation.answer_support();
         assert_eq!(support.len(), 1);
@@ -153,10 +155,9 @@ mod tests {
         let gq = QueryGraphGenerator::new()
             .generate("Does the cat appear in the car?")
             .unwrap();
-        let (answer, explanation) = QueryGraphExecutor::new(&g)
-            .execute_explained(&gq)
-            .unwrap();
-        assert_eq!(answer, crate::Answer::Judgment(false));
+        let run = QueryGraphExecutor::new(&g).run(&gq, None).unwrap();
+        let explanation = Explanation::from_aps(&g, &run.aps);
+        assert_eq!(run.answer, crate::Answer::Judgment(false));
         assert_eq!(explanation.fact_count(), 0);
         assert!(explanation.answer_support().is_empty());
     }

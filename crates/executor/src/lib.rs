@@ -38,11 +38,11 @@ pub mod words;
 pub use answer::Answer;
 pub use cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache, ShardedCache};
 pub use executor::{
-    CacheOutcome, ExecError, ExecutorConfig, QueryGraphExecutor, SlotSource, SlotTrace,
+    CacheOutcome, ExecError, ExecutorConfig, QueryGraphExecutor, Run, SlotSource, SlotTrace,
     VertexTrace,
 };
 pub use explain::{Explanation, SupportFact};
 pub use matching::{MatchMethod, VertexMatcher};
-pub use profile::{ExecutionProfile, ProfiledRun, QuadPlan, ScheduleInfo};
+pub use profile::{ExecutionProfile, QuadPlan, ScheduleInfo};
 pub use scheduler::{BatchReport, QueryScheduler, SchedulerConfig};
 pub use words::Constraint;

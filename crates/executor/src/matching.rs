@@ -93,18 +93,13 @@ impl<'g> VertexMatcher<'g> {
         &self.embedder
     }
 
-    /// `matchVertex(label, G_mg)`: vertices whose label matches the phrase.
+    /// `matchVertex(label, G_mg)`: vertices whose label matches the phrase,
+    /// plus which ladder rung matched them.
     ///
     /// 1. exact label match;
     /// 2. Levenshtein similarity ≥ threshold over distinct labels;
     /// 3. main-noun retry for multi-word phrases;
     /// 4. embedding cosine fallback.
-    pub fn match_vertex(&self, phrase: &str, head: &str) -> Vec<VertexId> {
-        self.match_vertex_traced(phrase, head).0
-    }
-
-    /// [`match_vertex`](Self::match_vertex) plus which ladder rung matched —
-    /// the profiling entry point.
     pub fn match_vertex_traced(&self, phrase: &str, head: &str) -> (Vec<VertexId>, MatchMethod) {
         let exact = self.graph.vertices_with_label(phrase);
         if !exact.is_empty() {
@@ -190,13 +185,8 @@ impl<'g> VertexMatcher<'g> {
 
     /// `getRelations(Sub, Obj)`: the edges from any subject-side vertex to
     /// any object-side vertex (excluding structural `same as`/`is a` links),
-    /// as relation pairs.
-    pub fn relations_between(&self, subs: &[VertexId], objs: &[VertexId]) -> Vec<RelationPair> {
-        self.relations_between_counted(subs, objs).0
-    }
-
-    /// [`relations_between`](Self::relations_between) plus the number of
-    /// candidate edges examined (the profiling "edges scanned" figure).
+    /// as relation pairs, plus the number of candidate edges examined (the
+    /// profiling "edges scanned" figure).
     pub fn relations_between_counted(
         &self,
         subs: &[VertexId],
@@ -224,17 +214,8 @@ impl<'g> VertexMatcher<'g> {
     }
 
     /// Relation pairs when one side is a wildcard: every non-structural
-    /// edge incident to the constrained side.
-    pub fn relations_around(
-        &self,
-        anchors: &[VertexId],
-        anchor_is_subject: bool,
-    ) -> Vec<RelationPair> {
-        self.relations_around_counted(anchors, anchor_is_subject).0
-    }
-
-    /// [`relations_around`](Self::relations_around) plus the number of
-    /// incident edges examined.
+    /// edge incident to the constrained side, plus the number of incident
+    /// edges examined.
     pub fn relations_around_counted(
         &self,
         anchors: &[VertexId],
@@ -300,7 +281,7 @@ mod tests {
     fn exact_match() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex("dog", "dog");
+        let found = m.match_vertex_traced("dog", "dog").0;
         assert_eq!(found.len(), 2); // KG dog + scene dog
     }
 
@@ -312,7 +293,7 @@ mod tests {
         // passes the Levenshtein threshold (sim 0.75 < 0.8? "dogs"/"dog" =
         // 1 edit over 4 chars = 0.75) — it instead hits the embedding
         // fallback, which maps synonyms too.
-        let found = m.match_vertex("puppy", "puppy");
+        let found = m.match_vertex_traced("puppy", "puppy").0;
         assert!(!found.is_empty(), "puppy should reach dog via embeddings");
         assert!(found
             .iter()
@@ -360,7 +341,7 @@ mod tests {
     fn main_noun_retry() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex("kind of dog", "dog");
+        let found = m.match_vertex_traced("kind of dog", "dog").0;
         assert_eq!(found.len(), 2);
     }
 
@@ -368,7 +349,7 @@ mod tests {
     fn no_match_is_empty() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        assert!(m.match_vertex("spaceship", "spaceship").is_empty());
+        assert!(m.match_vertex_traced("spaceship", "spaceship").0.is_empty());
     }
 
     #[test]
@@ -376,7 +357,7 @@ mod tests {
         let g = merged();
         let m = VertexMatcher::new(&g);
         // "pet" → KG pet → (incoming is-a) dog, cat → (same as) scene dog.
-        let seed = m.match_vertex("pet", "pet");
+        let seed = m.match_vertex_traced("pet", "pet").0;
         let expanded = m.expand_semantic(&seed);
         let labels: Vec<_> = expanded
             .iter()
@@ -392,9 +373,9 @@ mod tests {
     fn relations_between_skips_structural_edges() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet"));
-        let cars = m.match_vertex("car", "car");
-        let pairs = m.relations_between(&dogs, &cars);
+        let dogs = m.expand_semantic(&m.match_vertex_traced("pet", "pet").0);
+        let cars = m.match_vertex_traced("car", "car").0;
+        let pairs = m.relations_between_counted(&dogs, &cars).0;
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.edge_label(pairs[0].edge), Some("in"));
     }
@@ -403,8 +384,8 @@ mod tests {
     fn wildcard_object_side() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let harry = m.match_vertex("harry potter", "harry potter");
-        let pairs = m.relations_around(&harry, false);
+        let harry = m.match_vertex_traced("harry potter", "harry potter").0;
+        let pairs = m.relations_around_counted(&harry, false).0;
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.edge_label(pairs[0].edge), Some("girlfriend of"));
         assert_eq!(g.vertex_label(pairs[0].sub), Some("ginny weasley"));
@@ -415,7 +396,7 @@ mod tests {
         let g = merged();
         let m = VertexMatcher::new(&g);
         let scene_dog = vec![g.vertices_with_label("dog")[1]];
-        let pairs = m.relations_around(&scene_dog, true);
+        let pairs = m.relations_around_counted(&scene_dog, true).0;
         assert_eq!(pairs.len(), 1);
         assert_eq!(g.vertex_label(pairs[0].obj), Some("car"));
     }
@@ -436,21 +417,16 @@ mod tests {
         let (found, method) = m.match_vertex_traced("spaceship", "spaceship");
         assert!(found.is_empty());
         assert_eq!(method, MatchMethod::NoMatch);
-        // The traced and plain entry points agree.
-        assert_eq!(
-            m.match_vertex("pet", "pet"),
-            m.match_vertex_traced("pet", "pet").0
-        );
     }
 
     #[test]
     fn counted_scans_cover_all_incident_edges() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let dogs = m.expand_semantic(&m.match_vertex("pet", "pet"));
-        let cars = m.match_vertex("car", "car");
+        let dogs = m.expand_semantic(&m.match_vertex_traced("pet", "pet").0);
+        let cars = m.match_vertex_traced("car", "car").0;
         let (pairs, scanned) = m.relations_between_counted(&dogs, &cars);
-        assert_eq!(pairs, m.relations_between(&dogs, &cars));
+        assert_eq!(pairs.len(), 1);
         // Structural (same as / is a) edges are scanned even though they
         // never become pairs, so scanned strictly exceeds the pair count.
         assert!(scanned > pairs.len(), "scanned={scanned}");
@@ -465,7 +441,7 @@ mod tests {
     fn expansion_is_idempotent() {
         let g = merged();
         let m = VertexMatcher::new(&g);
-        let once = m.expand_semantic(&m.match_vertex("pet", "pet"));
+        let once = m.expand_semantic(&m.match_vertex_traced("pet", "pet").0);
         let twice = m.expand_semantic(&once);
         assert_eq!(once, twice);
     }

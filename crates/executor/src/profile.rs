@@ -19,10 +19,8 @@
 //! [`explain`](crate::explain) module is *answer* provenance (which merged
 //! graph facts support it).
 
-use crate::answer::Answer;
 use crate::cache::CacheStats;
-use crate::executor::{CacheOutcome, SlotSource, SlotTrace, VertexTrace};
-use crate::explain::Explanation;
+use crate::executor::{CacheOutcome, Run, SlotSource, SlotTrace, VertexTrace};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use svqa_qparser::QueryGraph;
@@ -83,38 +81,28 @@ pub struct ExecutionProfile {
     pub lint: Vec<svqa_qlint::Diagnostic>,
 }
 
-/// What `execute_profiled` returns: the answer plus both provenance
-/// artifacts (the plan profile and the supporting facts).
-#[derive(Debug, Clone)]
-pub struct ProfiledRun {
-    /// The answer.
-    pub answer: Answer,
-    /// Plan-level profile (this module).
-    pub profile: ExecutionProfile,
-    /// Answer-level provenance (support facts).
-    pub explanation: Explanation,
-}
-
 impl ExecutionProfile {
-    /// Assemble a profile from one `run()`'s outputs. `traces` is indexed
-    /// by vertex; `order` is the execution order actually used.
+    /// Assemble the profile of one [`Run`] of `gq`. `upstream` is the
+    /// question's trace: its stages other than `match` (parse, lint) are
+    /// prepended in order, and its cache traffic — the delta this query
+    /// produced, so a shared cache attributes correctly — becomes the
+    /// profile's. `lint` holds the linter's non-fatal diagnostics.
     pub fn assemble(
         gq: &QueryGraph,
-        answer: &Answer,
-        order: Vec<usize>,
-        traces: Vec<VertexTrace>,
-        total_ns: u64,
-        cache: CacheStats,
+        run: &Run,
+        upstream: &QueryTrace,
+        lint: &[svqa_qlint::Diagnostic],
     ) -> ExecutionProfile {
-        let quads: Vec<QuadPlan> = order
+        let quads: Vec<QuadPlan> = run
+            .order
             .iter()
             .map(|&u| QuadPlan {
                 index: u,
                 spoc: gq.vertices[u].display(),
-                trace: traces[u].clone(),
+                trace: run.traces[u].clone(),
             })
             .collect();
-        let mut match_stage = StageTiming::leaf(stage::MATCH, 0, total_ns);
+        let mut match_stage = StageTiming::leaf(stage::MATCH, 0, run.total_ns);
         for q in &quads {
             match_stage.push_child(StageTiming::leaf(
                 format!("v{} {}", q.index, q.spoc),
@@ -122,18 +110,22 @@ impl ExecutionProfile {
                 q.trace.elapsed_ns,
             ));
         }
-        ExecutionProfile {
+        let mut profile = ExecutionProfile {
             question: gq.question.clone(),
             question_type: gq.question_type.name().to_owned(),
-            answer: answer.to_string(),
-            order,
+            answer: run.answer.to_string(),
+            order: run.order.clone(),
             quads,
             stages: vec![match_stage],
-            total_ns,
-            cache,
+            total_ns: run.total_ns,
+            cache: upstream.cache,
             schedule: None,
-            lint: Vec::new(),
+            lint: lint.to_vec(),
+        };
+        for s in upstream.stages.iter().rev().filter(|s| s.stage != stage::MATCH) {
+            profile.prepend_stage(&s.stage, s.nanos);
         }
+        profile
     }
 
     /// Prepend an upstream stage (e.g. `parse`) that ran before the
@@ -149,11 +141,6 @@ impl ExecutionProfile {
     /// Attach the batch-scheduling rationale.
     pub fn set_schedule(&mut self, info: ScheduleInfo) {
         self.schedule = Some(info);
-    }
-
-    /// Attach the linter's non-fatal diagnostics.
-    pub fn set_lint(&mut self, diagnostics: Vec<svqa_qlint::Diagnostic>) {
-        self.lint = diagnostics;
     }
 
     /// The profile as a [`QueryTrace`] (stage tree + cache stats), ready
@@ -295,6 +282,7 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::Answer;
     use crate::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
     use crate::executor::QueryGraphExecutor;
     use svqa_graph::{Graph, GraphBuilder};
@@ -313,23 +301,29 @@ mod tests {
         g
     }
 
+    /// Run `question` and assemble its profile, with the cache traffic the
+    /// run produced as the upstream trace's.
     fn profiled(
         g: &Graph,
         question: &str,
         cache: Option<&ShardedCache>,
-    ) -> ProfiledRun {
+    ) -> (Answer, ExecutionProfile) {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
-        QueryGraphExecutor::new(g)
-            .execute_profiled(&gq, cache)
-            .unwrap()
+        let before = cache.map(ShardedCache::stats).unwrap_or_default();
+        let run = QueryGraphExecutor::new(g).run(&gq, cache).unwrap();
+        let mut upstream = QueryTrace::new(question);
+        if let Some(c) = cache {
+            upstream.cache = c.stats().delta_since(&before);
+        }
+        let profile = ExecutionProfile::assemble(&gq, &run, &upstream, &[]);
+        (run.answer, profile)
     }
 
     #[test]
     fn profile_records_pruning_funnel_and_timings() {
         let g = graph();
-        let run = profiled(&g, "Does the dog appear in the car?", None);
-        assert_eq!(run.answer, Answer::Judgment(true));
-        let p = &run.profile;
+        let (answer, p) = profiled(&g, "Does the dog appear in the car?", None);
+        assert_eq!(answer, Answer::Judgment(true));
         assert_eq!(p.question, "Does the dog appear in the car?");
         assert_eq!(p.question_type, "Judgment");
         assert_eq!(p.answer, "Yes");
@@ -350,23 +344,23 @@ mod tests {
     fn cache_outcomes_flip_from_miss_to_hit() {
         let g = graph();
         let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
-        let cold = profiled(&g, "Does the dog appear in the car?", Some(&cache));
-        assert_eq!(cold.profile.quads[0].trace.path_cache, CacheOutcome::Miss);
-        assert!(cold.profile.cache.path_misses > 0);
-        let warm = profiled(&g, "Does the dog appear in the car?", Some(&cache));
-        assert_eq!(warm.profile.quads[0].trace.path_cache, CacheOutcome::Hit);
+        let (cold_answer, cold) = profiled(&g, "Does the dog appear in the car?", Some(&cache));
+        assert_eq!(cold.quads[0].trace.path_cache, CacheOutcome::Miss);
+        assert!(cold.cache.path_misses > 0);
+        let (warm_answer, warm) = profiled(&g, "Does the dog appear in the car?", Some(&cache));
+        assert_eq!(warm.quads[0].trace.path_cache, CacheOutcome::Hit);
         // Delta attribution: the warm run must not re-count cold misses.
-        assert_eq!(warm.profile.cache.path_misses, 0);
-        assert!(warm.profile.cache.path_hits > 0);
-        assert_eq!(cold.answer, warm.answer);
+        assert_eq!(warm.cache.path_misses, 0);
+        assert!(warm.cache.path_hits > 0);
+        assert_eq!(cold_answer, warm_answer);
     }
 
     #[test]
     fn render_tree_shows_counts_cache_and_timing() {
         let g = graph();
         let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
-        let run = profiled(&g, "Does the dog appear in the car?", Some(&cache));
-        let text = run.profile.render_tree();
+        let (_, profile) = profiled(&g, "Does the dog appear in the car?", Some(&cache));
+        let text = profile.render_tree();
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");
         assert!(text.contains("answer: Yes"), "{text}");
         assert!(text.contains("path cache: miss"), "{text}");
@@ -379,7 +373,7 @@ mod tests {
     #[test]
     fn json_round_trips_and_prepend_shifts_stages() {
         let g = graph();
-        let mut p = profiled(&g, "How many dogs are in the car?", None).profile;
+        let (_, mut p) = profiled(&g, "How many dogs are in the car?", None);
         let match_ns = p.total_ns;
         p.prepend_stage(stage::PARSE, 5_000);
         p.set_schedule(ScheduleInfo {

@@ -251,7 +251,7 @@ proptest! {
             question: String::new(),
         };
         let ex = QueryGraphExecutor::new(&g);
-        let a = ex.execute(&gq).unwrap();
+        let a = ex.run(&gq, None).unwrap().answer;
         prop_assert!(matches!(a, Answer::Judgment(_)));
     }
 
@@ -269,7 +269,7 @@ proptest! {
             question: String::new(),
         };
         let ex = QueryGraphExecutor::new(&g);
-        let plain = ex.execute(&gq).unwrap();
+        let plain = ex.run(&gq, None).unwrap().answer;
         let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
         // Run twice so the second pass reads from a warm cache.
         let first = ex.execute_cached(&gq, Some(&cache)).unwrap().0;
@@ -282,7 +282,7 @@ proptest! {
     fn matcher_exact_labels_always_match(g in arb_world(), li in 0usize..6) {
         const LABELS: [&str; 6] = ["dog", "cat", "man", "grass", "car", "hat"];
         let m = VertexMatcher::new(&g);
-        let found = m.match_vertex(LABELS[li], LABELS[li]);
+        let found = m.match_vertex_traced(LABELS[li], LABELS[li]).0;
         prop_assert!(!found.is_empty());
         for v in &found {
             prop_assert_eq!(g.vertex_label(*v), Some(LABELS[li]));

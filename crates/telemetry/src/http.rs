@@ -1,40 +1,19 @@
-//! Dependency-free metrics endpoint.
-//!
-//! A deliberately tiny HTTP/1.1 server built on the reusable
-//! [`router`](crate::router) layer — no async runtime, no framework —
-//! good enough for a Prometheus scraper or `curl` hitting localhost.
-//! Routes:
+//! The observability routes, mounted by `svqa serve` next to its query
+//! routes (see [`router`](crate::router) for the HTTP layer):
 //!
 //! * `GET /metrics` — the live [`Recorder`] snapshot in Prometheus text
 //!   exposition format;
 //! * `GET /metrics.json` — the same snapshot as JSON;
 //! * `GET /profiles/recent` — the [`ProfileRing`] contents as a JSON
-//!   array (newest last);
-//! * `GET /` — a plain-text index of the routes.
-//!
-//! Requests are served serially on the accept loop: a scrape is a few
-//! milliseconds of formatting, and serial handling keeps the server free
-//! of any thread-per-connection machinery. Per-connection read/write
-//! timeouts (see [`HttpServer`]) guarantee one silent client cannot wedge
-//! the loop.
+//!   array (newest last).
 
 use crate::exposition::prometheus_text;
 use crate::recent::ProfileRing;
 use crate::recorder::Recorder;
-use crate::router::{HttpServer, Response, Router};
-use std::net::SocketAddr;
-use std::time::Duration;
+use crate::router::{Response, Router};
 
-/// A bound (but not yet serving) metrics server.
-pub struct MetricsServer {
-    server: HttpServer,
-    recorder: Recorder,
-    profiles: ProfileRing,
-}
-
-/// The route table shared by [`MetricsServer`] and the query server: both
-/// expose the same observability surface, `svqa serve` just mounts it next
-/// to its query routes.
+/// Add the observability routes over `recorder` and `profiles` to
+/// `router`.
 pub fn metrics_routes<'h>(
     router: Router<'h>,
     recorder: &Recorder,
@@ -58,115 +37,57 @@ pub fn metrics_routes<'h>(
         })
 }
 
-impl MetricsServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:9100"`; port 0 picks a free port)
-    /// and serve snapshots of `recorder` and `profiles`.
-    pub fn bind(
-        addr: &str,
-        recorder: Recorder,
-        profiles: ProfileRing,
-    ) -> std::io::Result<MetricsServer> {
-        Ok(MetricsServer {
-            server: HttpServer::bind(addr)?,
-            recorder,
-            profiles,
-        })
-    }
-
-    /// The actual bound address (useful with port 0).
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.server.local_addr()
-    }
-
-    /// Override the per-connection read/write timeout (`None` disables;
-    /// the default is [`crate::router::DEFAULT_IO_TIMEOUT`]).
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) {
-        self.server.set_io_timeout(timeout);
-    }
-
-    fn router(&self) -> Router<'_> {
-        let router = Router::new().get("/", |_| {
-            Response::text(
-                200,
-                "svqa metrics endpoint\n\n\
-                 /metrics          Prometheus text exposition\n\
-                 /metrics.json     metrics snapshot as JSON\n\
-                 /profiles/recent  recent query profiles (JSON array)\n",
-            )
-        });
-        metrics_routes(router, &self.recorder, &self.profiles)
-    }
-
-    /// Accept and answer connections forever (serially). Per-connection
-    /// I/O errors are swallowed: a scraper hanging up mid-response must
-    /// not kill the endpoint.
-    pub fn serve_forever(&self) -> ! {
-        self.server.serve_serial(&self.router())
-    }
-
-    /// Run `serve_forever` on a background thread, returning the bound
-    /// address. The thread (and socket) live until process exit.
-    pub fn spawn(self) -> std::io::Result<SocketAddr> {
-        let addr = self.local_addr()?;
-        std::thread::Builder::new()
-            .name("svqa-metrics".to_owned())
-            .spawn(move || self.serve_forever())?;
-        Ok(addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{HttpServer, Request};
     use serde_json::json;
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::time::Duration;
 
-    fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read response");
-        let (head, body) = response
-            .split_once("\r\n\r\n")
-            .expect("header/body separator");
-        (head.to_owned(), body.to_owned())
-    }
-
-    fn sample_server() -> MetricsServer {
+    fn sample_router() -> Router<'static> {
         let recorder = Recorder::new();
         recorder.incr_counter_by("questions_answered", 3);
         recorder.record_span("parse", Duration::from_micros(50));
         let profiles = ProfileRing::new(4);
         profiles.push(json!({"question": "How many dogs?"}));
-        MetricsServer::bind("127.0.0.1:0", recorder, profiles).expect("bind")
+        metrics_routes(Router::new(), &recorder, &profiles)
     }
 
-    fn serve_sample() -> SocketAddr {
-        sample_server().spawn().expect("spawn")
+    fn dispatch(method: &str, path: &str) -> Response {
+        sample_router().dispatch(&Request {
+            method: method.to_owned(),
+            path: path.to_owned(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        })
+    }
+
+    fn body(response: &Response) -> String {
+        String::from_utf8(response.body.clone()).expect("utf-8 body")
     }
 
     #[test]
     fn metrics_route_serves_prometheus_text() {
-        let addr = serve_sample();
-        let (head, body) = get(addr, "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-        assert!(head.contains("text/plain; version=0.0.4"), "{head}");
-        assert!(body.contains("svqa_questions_answered_total 3"), "{body}");
-        assert!(body.contains("svqa_span_duration_seconds_count"), "{body}");
+        let response = dispatch("GET", "/metrics");
+        assert_eq!(response.status, 200);
+        assert!(response.content_type.contains("text/plain; version=0.0.4"));
+        let text = body(&response);
+        assert!(text.contains("svqa_questions_answered_total 3"), "{text}");
+        assert!(text.contains("svqa_span_duration_seconds_count"), "{text}");
     }
 
     #[test]
     fn json_and_profile_routes_serve_json() {
-        let addr = serve_sample();
-        let (head, body) = get(addr, "/metrics.json");
-        assert!(head.contains("application/json"), "{head}");
-        let snap: crate::MetricsSnapshot = serde_json::from_str(&body).unwrap();
+        let response = dispatch("GET", "/metrics.json");
+        assert!(response.content_type.contains("application/json"));
+        let snap: crate::MetricsSnapshot = serde_json::from_str(&body(&response)).unwrap();
         assert_eq!(snap.counters["questions_answered"], 3);
 
-        let (_, body) = get(addr, "/profiles/recent");
-        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let response = dispatch("GET", "/profiles/recent");
+        assert!(response.content_type.contains("application/json"));
+        let v: serde_json::Value = serde_json::from_str(&body(&response)).unwrap();
         match v {
             serde_json::Value::Array(a) => {
                 assert_eq!(a.len(), 1);
@@ -178,35 +99,54 @@ mod tests {
 
     #[test]
     fn unknown_route_is_404_and_server_survives() {
-        let addr = serve_sample();
-        let (head, _) = get(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "{head}");
-        // The serial accept loop must keep answering after an error path.
-        let (head, _) = get(addr, "/");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let router = sample_router();
+        let get = |path: &str| {
+            router.dispatch(&Request {
+                method: "GET".to_owned(),
+                path: path.to_owned(),
+                headers: Vec::new(),
+                body: Vec::new(),
+            })
+        };
+        assert_eq!(get("/nope").status, 404);
+        // The same router keeps answering after an error path.
+        assert_eq!(get("/metrics").status, 200);
     }
 
     #[test]
     fn post_to_metrics_is_405() {
-        let addr = serve_sample();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+        let response = dispatch("POST", "/metrics");
+        assert_eq!(response.status, 405);
+        assert!(response
+            .extra_headers
+            .iter()
+            .any(|(n, v)| n == "Allow" && v == "GET"));
     }
 
     #[test]
     fn silent_scraper_cannot_wedge_the_endpoint() {
-        let mut server = sample_server();
+        let mut server = HttpServer::bind("127.0.0.1:0").expect("bind");
         server.set_io_timeout(Some(Duration::from_millis(100)));
-        let addr = server.spawn().expect("spawn");
+        let addr = server.local_addr().expect("local addr");
+        let serving = std::thread::spawn(move || {
+            // A serial loop: the silent connection must time out so the
+            // real scrape behind it is served.
+            let router = sample_router();
+            for _ in 0..2 {
+                if let Ok(stream) = server.accept() {
+                    let _ = HttpServer::handle_connection(stream, &router);
+                }
+            }
+        });
 
-        // A client that connects and never sends a byte: before the read
-        // timeout existed this parked the serial loop forever.
+        // A client that connects and never sends a byte.
         let _silent = TcpStream::connect(addr).unwrap();
         std::thread::sleep(Duration::from_millis(10));
-        let (head, _) = get(addr, "/metrics");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        serving.join().unwrap();
     }
 }

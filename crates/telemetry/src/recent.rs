@@ -70,7 +70,7 @@ impl ProfileRing {
     }
 }
 
-/// The process-global profile ring, fed by `answer_profiled` and served at
+/// The process-global profile ring, fed by `svqa serve`'s `/ask` and served at
 /// `/profiles/recent`.
 pub fn global_profiles() -> &'static ProfileRing {
     static GLOBAL: OnceLock<ProfileRing> = OnceLock::new();

@@ -1,16 +1,14 @@
 //! A minimal dependency-free HTTP/1.1 toolkit on `std::net`.
 //!
-//! Generalizes the metrics endpoint's hand-rolled request handling into a
-//! small reusable layer shared by the metrics server and the query-serving
-//! subsystem (`svqa serve`):
+//! The HTTP layer of the query-serving subsystem (`svqa serve`) and its
+//! observability routes:
 //!
 //! * [`Request`] / [`Response`] — one request, one response, no streaming;
 //! * [`read_request`] / [`write_response`] — the wire format (request line,
 //!   headers, `Content-Length`-delimited bodies);
 //! * [`Router`] — exact-path dispatch with automatic 404/405 handling;
 //! * [`HttpServer`] — a bound listener that applies per-connection read and
-//!   write timeouts, so one silent client cannot wedge a serial accept
-//!   loop.
+//!   write timeouts, so one silent client cannot wedge an accept loop.
 //!
 //! Deliberately tiny: no chunked encoding, no keep-alive (every response
 //! sends `Connection: close`), no TLS. Good enough for a Prometheus
@@ -322,17 +320,6 @@ impl HttpServer {
                 write_response(&mut stream, &Response::text(status, format!("{e}\n")))
             }
             Err(e) => Err(e),
-        }
-    }
-
-    /// Accept and answer connections forever, serially. Per-connection
-    /// errors (including timeouts) are swallowed: one bad client must not
-    /// kill the endpoint.
-    pub fn serve_serial(&self, router: &Router<'_>) -> ! {
-        loop {
-            if let Ok(stream) = self.accept() {
-                let _ = Self::handle_connection(stream, router);
-            }
         }
     }
 }

@@ -73,9 +73,11 @@ fn main() {
         "Does the woman appear near the table?",
         "What kind of objects is held by the man that is near the table?",
     ] {
-        match system.answer_explained(q) {
-            Ok((answer, explanation)) => {
-                println!("\nQ: {q}\nA: {answer}");
+        let answered = system.answer_with(q, None, None);
+        match &answered.result {
+            Ok(guarded) => {
+                println!("\nQ: {q}\nA: {}", guarded.answer);
+                let explanation = system.explanation(&answered).unwrap_or_default();
                 for fact in explanation.answer_support().iter().take(3) {
                     println!("   {}", fact.display());
                 }
@@ -96,7 +98,7 @@ fn main() {
         .build()
         .expect("well-formed query");
     let executor = QueryGraphExecutor::new(system.merged_graph());
-    let answer = executor.execute(&gq).expect("executes");
+    let answer = executor.run(&gq, None).expect("executes").answer;
     println!("\nstructured query: {}", gq.question);
     println!("A: {answer}");
 }

@@ -340,6 +340,97 @@ fn degraded_ask_response_is_labeled_over_http() {
     shutdown_and_join(addr, handle);
 }
 
+#[test]
+fn degraded_batch_answers_like_degraded_single_questions() {
+    let mvqa = Mvqa::generate_small(60, 3);
+    let mut config = SvqaConfig::default();
+    config.degrade.breaker.failure_threshold = u32::MAX;
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
+    let guard = fault::install(kg_drop_plan(53, 1.0));
+    let batch = system.answer_batch(&questions);
+    match &batch.status {
+        svqa::AnswerStatus::Degraded {
+            missing_sources, ..
+        } => assert_eq!(missing_sources, &["kg".to_owned()]),
+        other => panic!("expected a degraded batch, got {other:?}"),
+    }
+    // The batch probes its sources once, then runs the scene-only view
+    // exactly as each guarded question does.
+    for (q, batched) in questions.iter().zip(&batch.answers) {
+        let single = system.answer_guarded(q, None, None);
+        match (batched, &single) {
+            (Ok(b), Ok(s)) => {
+                assert_eq!(b, &s.answer, "{q}");
+                assert_eq!(s.status, batch.status, "{q}");
+            }
+            (Err(b), Err(s)) => assert_eq!(b.to_string(), s.to_string(), "{q}"),
+            _ => panic!("{q}: batch {batched:?} vs single {single:?}"),
+        }
+    }
+    drop(guard);
+}
+
+#[test]
+fn batch_with_the_kg_down_is_labeled_degraded_over_http() {
+    let mvqa = Mvqa::generate_small(60, 3);
+    let mut config = SvqaConfig::default();
+    config.degrade.breaker.failure_threshold = u32::MAX;
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
+    let (addr, handle) = start_server(system, ServeConfig::default());
+    let guard = fault::install(kg_drop_plan(52, 1.0));
+
+    let (status, _, body) = http(
+        addr,
+        "POST",
+        "/batch",
+        r#"{"questions": ["Does the dog appear in the car?", "How many dogs are in the car?"]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let answered: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(answered["status"].as_str(), Some("degraded"), "{body}");
+    let missing: Vec<&str> = answered["missing_sources"]
+        .as_array()
+        .expect("missing_sources")
+        .iter()
+        .filter_map(|s| s.as_str())
+        .collect();
+    assert_eq!(missing, ["kg"], "{body}");
+    assert!(answered["confidence_penalty"].as_f64().unwrap_or(0.0) > 0.0, "{body}");
+    let answers = answered["answers"].as_array().expect("answers");
+    assert_eq!(answers.len(), 2, "{body}");
+    assert!(answers.iter().all(|a| a["answer_text"].as_str().is_some()), "{body}");
+    drop(guard);
+    shutdown_and_join(addr, handle);
+}
+
+#[test]
+fn batch_with_every_source_down_is_503_with_retry_after() {
+    let mvqa = Mvqa::generate_small(60, 3);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let (addr, handle) = start_server(system, ServeConfig::default());
+    let plan = FaultPlan::uniform(
+        43,
+        &[fault::site::SOURCE_KG, fault::site::SOURCE_SCENE],
+        FaultKind::DropResult,
+        1.0,
+    );
+    let guard = fault::install(plan);
+
+    let (status, head, body) = http(
+        addr,
+        "POST",
+        "/batch",
+        r#"{"questions": ["Does the dog appear in the car?"]}"#,
+    );
+    assert_eq!(status, 503, "{body}");
+    assert!(head.contains("Retry-After"), "{head}");
+    let err: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(err["code"].as_str(), Some("unavailable"), "{body}");
+    drop(guard);
+    shutdown_and_join(addr, handle);
+}
+
 mod props {
     use super::*;
     use proptest::prelude::*;

@@ -94,9 +94,10 @@ fn explain_json(world: &Path, question: &str) -> Value {
 }
 
 fn cited_images(system: &Svqa, question: &str) -> Value {
-    match system.answer_explained(question) {
-        Ok((_, explanation)) => json!(explanation.cited_images()),
-        Err(e) => error_json(&e),
+    let answered = system.answer_with(question, None, None);
+    match &answered.result {
+        Ok(_) => json!(system.explanation(&answered).unwrap_or_default().cited_images()),
+        Err(e) => error_json(e),
     }
 }
 

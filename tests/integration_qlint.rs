@@ -49,9 +49,10 @@ fn clean_question_lints_clean_and_answers_exactly_like_the_bare_executor() {
     let gq = svqa::qparser::QueryGraphGenerator::new()
         .generate(question)
         .expect("parses");
-    let (bare, _) = QueryGraphExecutor::new(system.merged_graph())
-        .execute_explained(&gq)
-        .expect("executes");
+    let bare = QueryGraphExecutor::new(system.merged_graph())
+        .run(&gq, None)
+        .expect("executes")
+        .answer;
     assert_eq!(system.answer(question).expect("answers"), bare);
 }
 
@@ -157,19 +158,21 @@ fn profiled_run_carries_lint_stage_and_diagnostics() {
     let (system, _) = world();
 
     // A clean question records the lint stage but attaches no diagnostics.
-    let run = system
-        .answer_profiled("Does the dog appear in the car?", None)
+    let profile = system
+        .answer_with("Does the dog appear in the car?", None, None)
+        .profile()
         .expect("answers");
     assert!(
-        run.profile.stages.iter().any(|s| s.stage == "lint"),
+        profile.stages.iter().any(|s| s.stage == "lint"),
         "no lint stage in profile"
     );
-    assert!(run.profile.lint.is_empty());
+    assert!(profile.lint.is_empty());
 
     // A warning-level finding rides along in the profile (and the tree).
-    let run = system
-        .answer_profiled("How many dogs are in the car?", None)
+    let profile = system
+        .answer_with("How many dogs are in the car?", None, None)
+        .profile()
         .expect("answers");
-    let tree = run.profile.render_tree();
+    let tree = profile.render_tree();
     assert!(tree.contains("stage lint"), "{tree}");
 }

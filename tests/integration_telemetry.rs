@@ -68,13 +68,15 @@ fn traced_single_question_reports_exact_cache_delta() {
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
     let q = "Does the dog appear in the car?";
-    let (first, cold) = system.answer_traced(q, Some(&cache));
-    first.unwrap();
+    let first = system.answer_with(q, Some(&cache), None);
+    first.result.unwrap();
+    let cold = first.trace;
     assert_eq!(cold.cache.total_hits(), 0, "{:?}", cold.cache);
     assert!(cold.cache.total_lookups() > 0);
 
-    let (second, warm) = system.answer_traced(q, Some(&cache));
-    second.unwrap();
+    let second = system.answer_with(q, Some(&cache), None);
+    second.result.unwrap();
+    let warm = second.trace;
     assert!(warm.cache.total_hits() > 0, "{:?}", warm.cache);
     let line = warm.summary_line();
     assert!(line.contains("[ok]"), "{line}");
