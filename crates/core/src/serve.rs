@@ -1,9 +1,8 @@
 //! The query-serving subsystem: `svqa serve`.
 //!
-//! A long-running HTTP service over a built SVQA system, on the same
-//! dependency-free `std::net` stack as the metrics endpoint (see
-//! [`svqa_telemetry::router`]). One port serves both query and
-//! observability routes:
+//! A long-running HTTP service over a built SVQA system, on a
+//! dependency-free `std::net` stack (see [`svqa_telemetry::router`]). One
+//! port serves both query and observability routes:
 //!
 //! * `POST /ask` — `{"question": "...", "deadline_ms"?: N}` → the answer,
 //!   its evidence status, and the exact cache traffic this question

@@ -1,7 +1,7 @@
 //! Ring buffer of recent query profiles.
 //!
-//! The executor pushes one JSON document per profiled query; the metrics
-//! server exposes the buffer at `/profiles/recent`. Profiles are stored as
+//! The query server pushes one JSON document per answered `/ask` and
+//! exposes the buffer at `/profiles/recent`. Profiles are stored as
 //! opaque [`serde_json::Value`]s so this crate doesn't depend on the
 //! executor's `ExecutionProfile` type (the dependency points the other
 //! way).
