@@ -19,8 +19,6 @@
 
 pub mod aggregate;
 pub mod cache;
-pub mod incremental;
 
 pub use aggregate::{AggregatorConfig, DataAggregator, MergeStats, MergedGraph};
 pub use cache::SubgraphCache;
-pub use incremental::IncrementalMerger;

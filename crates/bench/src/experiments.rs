@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use svqa::baselines::splitters::{SentenceSplitter, SplitterModel};
 use svqa::baselines::vqa_models::{BaselineVqa, VqaModel};
 use svqa::dataset::groundtruth::GroundTruth;
-use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
+use svqa::dataset::mvqa::{score_answers, Mvqa, MvqaConfig};
 use svqa::dataset::questions::QuestionCounts;
 use svqa::dataset::vqav2::{generate_vqav2, VqaV2, VqaV2Config};
 use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
@@ -130,7 +130,7 @@ pub fn run_exp1(mvqa: &Mvqa) -> (Exp1Report, Table) {
     let t0 = Instant::now();
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let build_secs = t0.elapsed().as_secs_f64();
-    let outcome = evaluate_on_mvqa(&system, mvqa);
+    let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
     let mut t = Table::new(
         "Table III — Exp-1: answering complex queries on MVQA",
         &["Method", "Latency (100 q)", "Judgment", "Counting", "Reasoning", "Overall"],
@@ -179,19 +179,12 @@ pub struct Exp2Row {
 
 /// Exp-2 (Table IV): SVQA vs VisualBert/ViLT/OFA on modified VQAv2.
 pub fn run_exp2(vqav2: &VqaV2) -> (Vec<Exp2Row>, Table) {
-    let as_mvqa = Mvqa {
-        images: vqav2.images.clone(),
-        kg: vqav2.kg.clone(),
-        questions: vqav2.questions.clone(),
-        specs: vqav2.specs.clone(),
-        config: MvqaConfig::default(),
-    };
     let gt = GroundTruth::new(&vqav2.images, &vqav2.kg);
     let mut rows = Vec::new();
     for model in VqaModel::ALL {
         let baseline = BaselineVqa::new(model, 0xb5e);
         let (answers, clock) = baseline.answer_dataset(&gt, &vqav2.specs, vqav2.images.len());
-        let (j, c, r, _) = as_mvqa.score_answers(&answers);
+        let (j, c, r, _) = score_answers(&vqav2.questions, &answers);
         rows.push(Exp2Row {
             method: model.name().to_owned(),
             latency_secs: clock.elapsed().as_secs_f64(),
@@ -202,7 +195,7 @@ pub fn run_exp2(vqav2: &VqaV2) -> (Vec<Exp2Row>, Table) {
     }
     // SVQA itself.
     let system = Svqa::build(&vqav2.images, &vqav2.kg, SvqaConfig::default());
-    let outcome = evaluate_on_mvqa(&system, &as_mvqa);
+    let outcome = evaluate_on_mvqa(&system, &vqav2.questions);
     rows.push(Exp2Row {
         method: "SVQA".to_owned(),
         latency_secs: outcome.total_latency.as_secs_f64(),
@@ -277,7 +270,7 @@ pub fn run_exp3(mvqa: &Mvqa) -> (Vec<Exp3Row>, Table) {
                 ..SvqaConfig::default()
             };
             let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
-            let outcome = evaluate_on_mvqa(&system, mvqa);
+            let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
             rows.push(Exp3Row {
                 model: model.name().to_owned(),
                 method: if use_tde { "TDE" } else { "Original" }.to_owned(),

@@ -23,32 +23,30 @@
 //! hit/miss/bypass classification, edges scanned, and wall times.
 //! `--trace-out FILE` writes a Chrome trace-event file (open in
 //! `chrome://tracing` or <https://ui.perfetto.dev>); `--profile-out FILE`
-//! writes the machine-readable profile JSON. `ask`, `explain` and
-//! `eval --world` run over the loaded snapshot with the library's
-//! `Prepared` parse-and-lint stage and one executor run per question.
+//! writes the machine-readable profile JSON.
 //!
 //! `serve` answers `POST /ask` and `/batch` over a world built in process
 //! and exposes the live registry on the same port: `/metrics` (Prometheus
 //! text format), `/metrics.json`, and the profiles of the last answered
 //! `/ask` requests at `/profiles/recent`.
 //!
-//! The world directory holds the merged graph as a binary snapshot
-//! (`merged.svqg`, see `svqa_graph::binio`) plus the generated questions
-//! with their ground truth (`questions.json`) — everything the online
-//! phase needs, without regenerating scenes.
+//! `build` writes a world directory: `Svqa::save`'s `merged.svqg` (the
+//! merged graph as a binary snapshot) and `system.json` (knowledge-graph
+//! vertex count, build statistics, configuration summary, image prior),
+//! plus `questions.json` (the generated questions with their ground truth)
+//! and `meta.json` (image count and seed). `ask`, `explain`, `lint` and
+//! `eval --world` open it with `Svqa::open` and answer through the same
+//! path as an in-process build, breakers included; only `eval --world`
+//! reads `questions.json`.
 
 use std::io::{BufRead, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
 use svqa::dataset::questions::{QaPair, QuestionCounts};
-use svqa::executor::executor::{QueryGraphExecutor, Run};
-use svqa::executor::{ExecutionProfile, Explanation};
-use svqa::graph::Graph;
-use svqa::qlint::{LintReport, Linter, Schema};
-use svqa::qparser::{QueryGraph, QueryGraphGenerator};
-use svqa::telemetry::{ChromeTrace, QueryTrace};
-use svqa::{Prepared, Svqa, SvqaConfig};
+use svqa::executor::ExecutionProfile;
+use svqa::telemetry::ChromeTrace;
+use svqa::{Answered, Svqa, SvqaConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -151,84 +149,45 @@ fn cmd_build(args: &[String]) -> Result<(), AnyError> {
     let images: usize = flag(args, "--images").map_or(Ok(1000), |s| s.parse())?;
     let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
     let out = PathBuf::from(flag(args, "--out").unwrap_or_else(|| "world".to_owned()));
-    std::fs::create_dir_all(&out)?;
 
     let (system, mvqa) = build_world(images, seed);
-    std::fs::write(
-        out.join("merged.svqg"),
-        svqa::graph::binio::to_bytes(system.merged_graph()),
-    )?;
+    system.save(&out)?;
     std::fs::write(
         out.join("questions.json"),
         serde_json::to_string_pretty(&mvqa.questions)?,
     )?;
     std::fs::write(
         out.join("meta.json"),
-        serde_json::to_string_pretty(&serde_json::json!({
-            "images": images,
-            "seed": seed,
-            "config": system.config().summary(),
-        }))?,
+        serde_json::to_string_pretty(&serde_json::json!({ "images": images, "seed": seed }))?,
     )?;
     println!("world written to {}", out.display());
     Ok(())
 }
 
-fn load_world(dir: &Path) -> Result<(Graph, Vec<QaPair>), AnyError> {
-    let snapshot = std::fs::read(dir.join("merged.svqg"))?;
-    let graph = svqa::graph::binio::from_bytes(snapshot.into())?;
-    let questions: Vec<QaPair> =
-        serde_json::from_str(&std::fs::read_to_string(dir.join("questions.json"))?)?;
-    Ok((graph, questions))
+/// The world directory named by `--world` (default `world`).
+fn world_dir(args: &[String]) -> PathBuf {
+    PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()))
 }
 
-/// One question answered over a loaded world.
-struct WorldAnswer {
-    query: QueryGraph,
-    lint: LintReport,
-    trace: QueryTrace,
-    run: Run,
-}
-
-impl WorldAnswer {
-    fn profile(&self) -> ExecutionProfile {
-        ExecutionProfile::assemble(&self.query, &self.run, &self.trace, &self.lint.diagnostics)
-    }
-}
-
-/// Prepare (parse + lint) and run one question over a loaded world graph,
-/// counting the outcome. A loaded snapshot has no breakers to guard.
-fn answer_over(graph: &Graph, question: &str) -> Result<WorldAnswer, AnyError> {
-    let linter = Linter::new(Schema::extract(graph));
-    let Prepared { query, trace } = Prepared::new(question, &QueryGraphGenerator::new(), &linter);
-    let result = query.map_err(AnyError::from).and_then(|(query, lint)| {
-        let run = QueryGraphExecutor::new(graph).run(&query, None)?;
-        Ok(WorldAnswer {
-            query,
-            lint,
-            trace,
-            run,
-        })
-    });
-    let counter = match result {
-        Ok(_) => svqa::telemetry::counter::QUESTIONS_ANSWERED,
-        Err(_) => svqa::telemetry::counter::QUESTIONS_FAILED,
-    };
-    svqa::telemetry::global().incr_counter(counter);
-    result
+fn open_world(args: &[String]) -> Result<Svqa, AnyError> {
+    Ok(Svqa::open(&world_dir(args), SvqaConfig::default())?)
 }
 
 /// Print the query graph, lint findings, answer and its evidence.
-fn print_answer(graph: &Graph, answered: &WorldAnswer) {
-    println!("query graph ({:?}):", answered.query.question_type);
-    for (i, v) in answered.query.vertices.iter().enumerate() {
-        println!("  v{i}: {}", v.display());
+fn print_answer(system: &Svqa, answered: &Answered, answer: &svqa::Answer) {
+    if let Some((query, lint)) = &answered.query {
+        println!("query graph ({:?}):", query.question_type);
+        for (i, v) in query.vertices.iter().enumerate() {
+            println!("  v{i}: {}", v.display());
+        }
+        for d in &lint.diagnostics {
+            println!("lint: {d}");
+        }
     }
-    for d in &answered.lint.diagnostics {
-        println!("lint: {d}");
-    }
-    println!("answer: {}", answered.run.answer);
-    let explanation = Explanation::from_aps(graph, &answered.run.aps);
+    println!("answer: {answer}");
+    let Some(explanation) = system.explanation(answered) else {
+        return;
+    };
     let support = explanation.answer_support();
     if !support.is_empty() {
         println!("evidence ({} facts):", support.len());
@@ -265,25 +224,28 @@ fn write_profile_outputs(args: &[String], profile: &ExecutionProfile) -> Result<
 }
 
 fn cmd_ask(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let metrics = flag(args, "--metrics");
     let explain = args.iter().any(|a| a == "--explain");
     let wants_profile =
         explain || flag(args, "--trace-out").is_some() || flag(args, "--profile-out").is_some();
     let question = positional(args).ok_or("no question given")?;
-    let (graph, _) = load_world(&world)?;
-    let outcome = answer_over(&graph, &question).and_then(|answered| {
-        if !wants_profile {
-            print_answer(&graph, &answered);
-            return Ok(());
+    let system = open_world(args)?;
+    let answered = system.answer_with(&question, None, None);
+    let outcome = match &answered.result {
+        Err(e) => Err(e.clone().into()),
+        Ok(guarded) if !wants_profile => {
+            print_answer(&system, &answered, &guarded.answer);
+            Ok(())
         }
-        let profile = answered.profile();
-        println!("answer: {}", answered.run.answer);
-        if explain {
-            print!("{}", profile.render_tree());
+        Ok(guarded) => {
+            let profile = answered.profile().expect("an answered question ran");
+            println!("answer: {}", guarded.answer);
+            if explain {
+                print!("{}", profile.render_tree());
+            }
+            write_profile_outputs(args, &profile)
         }
-        write_profile_outputs(args, &profile)
-    });
+    };
     write_metrics(metrics.as_deref())?;
     outcome
 }
@@ -291,10 +253,13 @@ fn cmd_ask(args: &[String]) -> Result<(), AnyError> {
 /// `explain` — `EXPLAIN ANALYZE` for one question: print the plan tree
 /// (or the JSON profile with `--json`) without the evidence listing.
 fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let question = positional(args).ok_or("no question given")?;
-    let (graph, _) = load_world(&world)?;
-    let profile = answer_over(&graph, &question)?.profile();
+    let system = open_world(args)?;
+    let answered = system.answer_with(&question, None, None);
+    if let Err(e) = answered.result {
+        return Err(e.into());
+    }
+    let profile = answered.profile().expect("an answered question ran");
     if args.iter().any(|a| a == "--json") {
         println!("{}", profile.to_json_pretty());
     } else {
@@ -311,11 +276,8 @@ fn cmd_explain(args: &[String]) -> Result<(), AnyError> {
 /// parser rejects are reported but do not fail the gate: parse coverage
 /// is the parser's business, not the linter's.
 fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
-    let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
     let json = args.iter().any(|a| a == "--json");
-    let (graph, _) = load_world(&world)?;
-    let linter = svqa::qlint::Linter::new(svqa::qlint::Schema::extract(&graph));
-    let generator = QueryGraphGenerator::new();
+    let system = open_world(args)?;
 
     let questions: Vec<String> = match flag(args, "--corpus") {
         Some(path) => {
@@ -325,30 +287,25 @@ fn cmd_lint(args: &[String]) -> Result<(), AnyError> {
         None => vec![positional(args).ok_or("no question or --corpus FILE given")?],
     };
 
-    let (mut errors, mut warnings, mut hints, mut parse_failures) = (0usize, 0usize, 0usize, 0usize);
+    let (mut errors, mut warnings, mut hints, mut parse_failures) =
+        (0usize, 0usize, 0usize, 0usize);
     let mut reports = Vec::with_capacity(questions.len());
     for question in &questions {
-        match generator.generate(question) {
+        match system.lint(question) {
             Err(e) => {
                 parse_failures += 1;
                 if !json {
-                    println!("{question}\n  parse failed: {e}");
+                    println!("{question}\n  {e}");
                 }
                 reports.push(serde_json::json!({
                     "question": question,
                     "parse_error": e.to_string(),
                 }));
             }
-            Ok(gq) => {
-                let report = linter.lint(&gq);
-                errors += report.errors().count();
-                for d in &report.diagnostics {
-                    match d.severity {
-                        svqa::qlint::Severity::Warning => warnings += 1,
-                        svqa::qlint::Severity::Hint => hints += 1,
-                        svqa::qlint::Severity::Error => {}
-                    }
-                }
+            Ok(report) => {
+                errors += report.count(svqa::qlint::Severity::Error);
+                warnings += report.count(svqa::qlint::Severity::Warning);
+                hints += report.count(svqa::qlint::Severity::Hint);
                 if !json && !report.is_clean() {
                     println!("{question}");
                     for d in &report.diagnostics {
@@ -530,106 +487,43 @@ fn cmd_chaos(args: &[String]) -> Result<(), AnyError> {
     Ok(())
 }
 
+/// `eval` — answer every generated question as one batch and print the
+/// Table-III report: over a world built in process (`--images`, so
+/// `--metrics` also captures the offline stages), or over a saved world
+/// and its `questions.json` (`--world`).
 fn cmd_eval(args: &[String]) -> Result<(), AnyError> {
     let metrics = flag(args, "--metrics");
-    if let Some(images) = flag(args, "--images") {
-        // In-process build: scene-graph generation and aggregation run
-        // here, so `--metrics` captures every pipeline stage including the
-        // offline ones (sgg, aggregate).
-        let images: usize = images.parse()?;
-        let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
-        let (system, mvqa) = build_world(images, seed);
-        let outcome = svqa::evaluate_on_mvqa(&system, &mvqa);
-        println!("{:10} {:.1}%", "Judgment", outcome.judgment * 100.0);
-        println!("{:10} {:.1}%", "Counting", outcome.counting * 100.0);
-        println!("{:10} {:.1}%", "Reasoning", outcome.reasoning * 100.0);
-        println!("{:10} {:.1}%", "Overall", outcome.overall * 100.0);
-        println!(
-            "{} questions in {:.3}s ({} parse failures)",
-            mvqa.questions.len(),
-            outcome.total_latency.as_secs_f64(),
-            outcome.parse_failures
-        );
-        println!(
-            "per-question latency: mean {:.1}µs, p50 {:.1}µs, p95 {:.1}µs",
-            outcome.mean_latency.as_secs_f64() * 1e6,
-            outcome.p50_latency.as_secs_f64() * 1e6,
-            outcome.p95_latency.as_secs_f64() * 1e6
-        );
-    } else {
-        let world = PathBuf::from(flag(args, "--world").unwrap_or_else(|| "world".to_owned()));
-        let (graph, questions) = load_world(&world)?;
-        eval_world(&graph, &questions);
-    }
+    let (system, questions) = match flag(args, "--images") {
+        Some(images) => {
+            let seed: u64 = flag(args, "--seed").map_or(Ok(0x4d56_5141), |s| s.parse())?;
+            let (system, mvqa) = build_world(images.parse()?, seed);
+            (system, mvqa.questions)
+        }
+        None => {
+            let path = world_dir(args).join("questions.json");
+            let text =
+                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            (open_world(args)?, serde_json::from_str(&text)?)
+        }
+    };
+    let outcome = svqa::evaluate_on_mvqa(&system, &questions);
+    println!("{:10} {:.1}%", "Judgment", outcome.judgment * 100.0);
+    println!("{:10} {:.1}%", "Counting", outcome.counting * 100.0);
+    println!("{:10} {:.1}%", "Reasoning", outcome.reasoning * 100.0);
+    println!("{:10} {:.1}%", "Overall", outcome.overall * 100.0);
+    println!(
+        "{} questions in {:.3}s ({} parse failures)",
+        questions.len(),
+        outcome.total_latency.as_secs_f64(),
+        outcome.parse_failures
+    );
+    println!(
+        "per-question latency: mean {:.1}µs, p50 {:.1}µs, p95 {:.1}µs",
+        outcome.mean_latency.as_secs_f64() * 1e6,
+        outcome.p50_latency.as_secs_f64() * 1e6,
+        outcome.p95_latency.as_secs_f64() * 1e6
+    );
     write_metrics(metrics.as_deref())
-}
-
-/// Score a loaded world through the §V-B scheduler (shared cache +
-/// frequency-sorted order, so the schedule/match spans record).
-fn eval_world(graph: &Graph, questions: &[QaPair]) {
-    use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-
-    let generator = QueryGraphGenerator::new();
-    let linter = Linter::new(Schema::extract(graph));
-    let embedder = svqa::nlp::Embedder::new();
-    let mut runnable: Vec<usize> = Vec::new();
-    let mut graphs: Vec<QueryGraph> = Vec::new();
-    for (i, q) in questions.iter().enumerate() {
-        if let Ok((gq, _)) = Prepared::new(&q.question, &generator, &linter).query {
-            runnable.push(i);
-            graphs.push(gq);
-        }
-    }
-    let report = QueryScheduler::new(SchedulerConfig::default()).run(graph, &graphs);
-    report.cache_stats.record_to(svqa::telemetry::global());
-    let mut predicted: Vec<Option<svqa::Answer>> = vec![None; questions.len()];
-    for (&i, answer) in runnable.iter().zip(report.answers) {
-        predicted[i] = answer.ok();
-    }
-    let answered = predicted.iter().flatten().count() as u64;
-    let failed = questions.len() as u64 - answered;
-    let recorder = svqa::telemetry::global();
-    recorder.incr_counter_by(svqa::telemetry::counter::QUESTIONS_ANSWERED, answered);
-    recorder.incr_counter_by(svqa::telemetry::counter::QUESTIONS_FAILED, failed);
-
-    let mut per_type: std::collections::HashMap<&str, (usize, usize)> = Default::default();
-    for (q, predicted) in questions.iter().zip(&predicted) {
-        let entry = per_type.entry(q.qtype.name()).or_insert((0, 0));
-        entry.1 += 1;
-        let correct = match (&q.answer, predicted) {
-            (svqa::dataset::GtAnswer::YesNo(g), Some(svqa::Answer::Judgment(p))) => g == p,
-            (svqa::dataset::GtAnswer::Count(g), Some(svqa::Answer::Count(p))) => g == p,
-            (svqa::dataset::GtAnswer::Entity(g), Some(svqa::Answer::Entity { label, .. })) => {
-                g == label || embedder.similarity(g, label) >= 0.7
-            }
-            _ => false,
-        };
-        if correct {
-            entry.0 += 1;
-        }
-    }
-    let mut total = (0usize, 0usize);
-    for (name, (c, n)) in &per_type {
-        println!("{name:10} {c}/{n} = {:.1}%", 100.0 * *c as f64 / *n as f64);
-        total.0 += c;
-        total.1 += n;
-    }
-    println!(
-        "{:10} {}/{} = {:.1}%",
-        "Overall",
-        total.0,
-        total.1,
-        100.0 * total.0 as f64 / total.1.max(1) as f64
-    );
-    let cache = report.cache_stats;
-    println!(
-        "cache: scope {}/{} path {}/{} ({:.0}% hit overall)",
-        cache.scope_hits,
-        cache.scope_hits + cache.scope_misses,
-        cache.path_hits,
-        cache.path_hits + cache.path_misses,
-        cache.hit_rate() * 100.0
-    );
 }
 
 /// `stats` — build (or rebuild) a world in process and print the offline

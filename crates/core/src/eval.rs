@@ -3,7 +3,8 @@
 use crate::pipeline::Svqa;
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
-use svqa_dataset::mvqa::{Mvqa, PredictedAnswer};
+use svqa_dataset::mvqa::{score_answers, Mvqa, PredictedAnswer};
+use svqa_dataset::QaPair;
 use svqa_executor::Answer;
 
 /// Outcome of an evaluation run.
@@ -52,9 +53,10 @@ pub fn to_predicted(answer: &Answer) -> Option<PredictedAnswer> {
     }
 }
 
-/// Run SVQA over an MVQA-shaped dataset and score it (Table III / IV).
-pub fn evaluate_on_mvqa(system: &Svqa, mvqa: &Mvqa) -> EvalOutcome {
-    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
+/// Answer MVQA-shaped `questions` as one batch and score them against
+/// their ground truth (Table III / IV).
+pub fn evaluate_on_mvqa(system: &Svqa, qa: &[QaPair]) -> EvalOutcome {
+    let questions: Vec<&str> = qa.iter().map(|q| q.question.as_str()).collect();
     let outcome = system.answer_batch(&questions);
     let parse_failures = outcome
         .answers
@@ -66,7 +68,7 @@ pub fn evaluate_on_mvqa(system: &Svqa, mvqa: &Mvqa) -> EvalOutcome {
         .iter()
         .map(|a| a.as_ref().ok().and_then(to_predicted))
         .collect();
-    let (judgment, counting, reasoning, overall) = mvqa.score_answers(&predicted);
+    let (judgment, counting, reasoning, overall) = score_answers(qa, &predicted);
     let n = questions.len().max(1);
     EvalOutcome {
         judgment,
@@ -155,7 +157,7 @@ mod tests {
         // bench harness; this guards against regressions.
         let mvqa = Mvqa::generate_small(700, 21);
         let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-        let outcome = evaluate_on_mvqa(&system, &mvqa);
+        let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
         assert!(
             outcome.overall > 0.75,
             "overall accuracy too low: {outcome:?}"

@@ -1,11 +1,14 @@
 //! The end-to-end SVQA pipeline (Fig. 2 of the paper).
 
-use crate::config::SvqaConfig;
+use crate::config::{ConfigSummary, SvqaConfig};
 use crate::degrade::{
     execute_with_retry, filter_view, probe_source, AnswerStatus, Breakers, GuardedAnswer,
     ProbeOutcome,
 };
 use crate::error::SvqaError;
+use serde::{Deserialize, Serialize};
+use std::io;
+use std::path::Path;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use svqa_fault::{BreakerState, Source};
@@ -14,7 +17,7 @@ use svqa_executor::cache::ShardedCache;
 use svqa_executor::executor::{QueryGraphExecutor, Run};
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_executor::{Answer, CacheStats, ExecutionProfile, Explanation};
-use svqa_graph::Graph;
+use svqa_graph::{binio, Graph};
 use svqa_qlint::{LintReport, Linter, Schema, Severity};
 use svqa_qparser::{QueryGraph, QueryGraphGenerator};
 use svqa_telemetry::{counter, global, stage, QueryOutcome, QueryTrace, Span};
@@ -23,7 +26,7 @@ use svqa_vision::scene::SyntheticImage;
 use svqa_vision::sgg::SceneGraphGenerator;
 
 /// Offline build statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BuildStats {
     /// Number of scene graphs generated.
     pub scene_graphs: usize,
@@ -75,8 +78,8 @@ pub struct BatchOutcome {
     pub status: AnswerStatus,
 }
 
-/// A question parsed and linted: the first half of every answer path, and
-/// what [`Svqa::answer_prepared`] runs.
+/// A question parsed and linted ([`Svqa::prepare`]): the first half of
+/// every answer path, and what [`Svqa::answer_prepared`] runs.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     /// The query graph with its lint report (warnings and hints only), or
@@ -86,37 +89,6 @@ pub struct Prepared {
     /// The question's trace so far: parse and lint stage times, and the
     /// outcome when the question cannot run.
     pub trace: QueryTrace,
-}
-
-impl Prepared {
-    /// Parse `question` with `generator` and lint the query graph with
-    /// `linter` (recording the `lint` span and counters), timing both
-    /// stages. [`Svqa::prepare`] is this over the system's own parser and
-    /// linter; tools holding only a loaded graph build their own.
-    pub fn new(question: &str, generator: &QueryGraphGenerator, linter: &Linter) -> Prepared {
-        let mut trace = QueryTrace::new(question);
-        let t0 = Instant::now();
-        let parsed = generator.generate(question);
-        trace.record_stage(stage::PARSE, t0.elapsed());
-        let query = match parsed {
-            Err(e) => {
-                trace.outcome = QueryOutcome::ParseError;
-                Err(SvqaError::from(e))
-            }
-            Ok(gq) => {
-                let t1 = Instant::now();
-                let report = lint_counted(linter, &gq);
-                trace.record_stage(stage::LINT, t1.elapsed());
-                if report.has_errors() {
-                    trace.outcome = QueryOutcome::LintError;
-                    Err(SvqaError::Lint(report))
-                } else {
-                    Ok((gq, report))
-                }
-            }
-        };
-        Prepared { query, trace }
-    }
 }
 
 /// Everything one question's run produced: the result, its trace, and the
@@ -203,15 +175,87 @@ impl Svqa {
             sgg_time,
             merge_time,
         };
-        let linter = Linter::new(Schema::extract(&merged.graph));
+        Svqa::from_parts(merged.graph, kg.vertex_count(), sgg, build_stats, config)
+    }
+
+    /// Persist the offline phase's result into the world directory `dir`
+    /// (created if missing): the merged graph as a binary snapshot
+    /// (`merged.svqg`, see [`svqa_graph::binio`]) and `system.json` with
+    /// the knowledge-graph vertex count, the build statistics, the
+    /// configuration summary and the fitted image prior — everything
+    /// [`open`](Self::open) needs to answer and to keep ingesting.
+    pub fn save(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir).map_err(at(dir))?;
+        let system = SystemFile {
+            kg_vertex_count: self.kg_vertex_count,
+            build_stats: self.build_stats.clone(),
+            config: self.config.summary(),
+            prior: self.sgg.prior().clone(),
+        };
+        let json = serde_json::to_string_pretty(&system).map_err(|e| invalid(dir, e))?;
+        let path = dir.join(SYSTEM_FILE);
+        std::fs::write(&path, json).map_err(at(&path))?;
+        let path = dir.join(GRAPH_FILE);
+        std::fs::write(&path, binio::to_bytes(&self.merged)).map_err(at(&path))
+    }
+
+    /// Load a world directory written by [`save`](Self::save) and
+    /// assemble the system over it with `config`. A missing or unreadable
+    /// file, malformed JSON, a corrupt snapshot, or a snapshot whose size
+    /// disagrees with `system.json` is an error.
+    pub fn open(dir: &Path, config: SvqaConfig) -> io::Result<Svqa> {
+        let path = dir.join(SYSTEM_FILE);
+        let text = std::fs::read_to_string(&path).map_err(at(&path))?;
+        let system: SystemFile = serde_json::from_str(&text).map_err(|e| invalid(&path, e))?;
+        let path = dir.join(GRAPH_FILE);
+        let bytes = std::fs::read(&path).map_err(at(&path))?;
+        let merged = binio::from_bytes(bytes.into()).map_err(|e| invalid(&path, e))?;
+        let stats = &system.build_stats;
+        if (stats.merged_vertices, stats.merged_edges)
+            != (merged.vertex_count(), merged.edge_count())
+            || system.kg_vertex_count > merged.vertex_count()
+        {
+            return Err(invalid(
+                &path,
+                format!(
+                    "{} vertices / {} edges, but {SYSTEM_FILE} records {} / {} with {} from the knowledge graph",
+                    merged.vertex_count(),
+                    merged.edge_count(),
+                    stats.merged_vertices,
+                    stats.merged_edges,
+                    system.kg_vertex_count
+                ),
+            ));
+        }
+        let sgg = SceneGraphGenerator::new(config.sgg.clone(), system.prior);
+        Ok(Svqa::from_parts(
+            merged,
+            system.kg_vertex_count,
+            sgg,
+            system.build_stats,
+            config,
+        ))
+    }
+
+    /// The one constructor behind [`build`](Self::build) and
+    /// [`open`](Self::open): derive the linter's schema and the breakers
+    /// from the merged graph and the configuration.
+    fn from_parts(
+        merged: Graph,
+        kg_vertex_count: usize,
+        sgg: SceneGraphGenerator,
+        build_stats: BuildStats,
+        config: SvqaConfig,
+    ) -> Svqa {
+        let linter = Linter::new(Schema::extract(&merged));
         let breakers = Breakers::new(&config.degrade);
         Svqa {
             config,
-            merged: merged.graph,
+            merged,
             generator: QueryGraphGenerator::new(),
             build_stats,
             sgg,
-            kg_vertex_count: kg.vertex_count(),
+            kg_vertex_count,
             linter,
             breakers,
             scene_view: OnceLock::new(),
@@ -307,13 +351,44 @@ impl Svqa {
     /// Lint an already-parsed query graph: records the `lint` stage span
     /// and bumps the lint counters.
     pub fn lint_graph(&self, gq: &QueryGraph) -> LintReport {
-        lint_counted(&self.linter, gq)
+        let _span = Span::enter(stage::LINT);
+        let report = self.linter.lint(gq);
+        let errors = report.count(Severity::Error) as u64;
+        let warnings = report.count(Severity::Warning) as u64;
+        if errors > 0 {
+            global().incr_counter_by(counter::LINT_ERRORS, errors);
+        }
+        if warnings > 0 {
+            global().incr_counter_by(counter::LINT_WARNINGS, warnings);
+        }
+        report
     }
 
     /// The first half of every answer path: parse and lint `question`,
     /// timing both stages.
     pub fn prepare(&self, question: &str) -> Prepared {
-        Prepared::new(question, &self.generator, &self.linter)
+        let mut trace = QueryTrace::new(question);
+        let t0 = Instant::now();
+        let parsed = self.generator.generate(question);
+        trace.record_stage(stage::PARSE, t0.elapsed());
+        let query = match parsed {
+            Err(e) => {
+                trace.outcome = QueryOutcome::ParseError;
+                Err(SvqaError::from(e))
+            }
+            Ok(gq) => {
+                let t1 = Instant::now();
+                let report = self.lint_graph(&gq);
+                trace.record_stage(stage::LINT, t1.elapsed());
+                if report.has_errors() {
+                    trace.outcome = QueryOutcome::LintError;
+                    Err(SvqaError::Lint(report))
+                } else {
+                    Ok((gq, report))
+                }
+            }
+        };
+        Prepared { query, trace }
     }
 
     /// Answer a single question end-to-end (no shared cache, no deadline).
@@ -655,20 +730,34 @@ impl Svqa {
     }
 }
 
-/// Lint `gq`, recording the `lint` stage span and bumping the lint
-/// counters.
-fn lint_counted(linter: &Linter, gq: &QueryGraph) -> LintReport {
-    let _span = Span::enter(stage::LINT);
-    let report = linter.lint(gq);
-    let errors = report.count(Severity::Error) as u64;
-    let warnings = report.count(Severity::Warning) as u64;
-    if errors > 0 {
-        global().incr_counter_by(counter::LINT_ERRORS, errors);
-    }
-    if warnings > 0 {
-        global().incr_counter_by(counter::LINT_WARNINGS, warnings);
-    }
-    report
+/// The world directory's `system.json`: what [`Svqa::open`] needs beside
+/// the merged graph.
+#[derive(Serialize, Deserialize)]
+struct SystemFile {
+    /// KG vertices occupy merged ids `0..kg_vertex_count`.
+    kg_vertex_count: usize,
+    build_stats: BuildStats,
+    /// The configuration the world was built with, for readers of the
+    /// file; [`Svqa::open`] takes its configuration from the caller.
+    config: ConfigSummary,
+    /// The scene-graph generator's prior, fitted on the build corpus and
+    /// reused by [`Svqa::add_images`].
+    prior: PairPrior,
+}
+
+/// The merged-graph snapshot inside a world directory.
+const GRAPH_FILE: &str = "merged.svqg";
+/// The rest of the system inside a world directory ([`SystemFile`]).
+const SYSTEM_FILE: &str = "system.json";
+
+/// Prefix an I/O error with the path it happened at.
+fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+}
+
+/// An invalid-data error about the file at `path`.
+fn invalid(path: &Path, e: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
 }
 
 /// Bump the global answered/failed counters for a finished question.
@@ -737,6 +826,14 @@ mod tests {
         // one (scene-graph generation is seeded per image id, so the two
         // paths see identical perception).
         let full = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+        assert_eq!(
+            incremental.merged_graph().vertex_count(),
+            full.merged_graph().vertex_count()
+        );
+        assert_eq!(
+            incremental.merged_graph().edge_count(),
+            full.merged_graph().edge_count()
+        );
         for q in [
             "Does the dog appear in the car?",
             "How many dogs are in the car?",

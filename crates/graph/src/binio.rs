@@ -15,7 +15,7 @@
 //! ```
 //! Vertex/edge labels are interned in a shared label table (scene graphs
 //! repeat "dog" thousands of times). Adjacency and indexes are rebuilt on
-//! load, and the result is validated like the JSON path.
+//! load, and the result is validated before it is returned.
 
 use crate::error::GraphError;
 use crate::graph::Graph;
@@ -283,7 +283,7 @@ mod tests {
             g.add_edge(v, hub, "near").unwrap();
         }
         let bin = to_bytes(&g);
-        let json = crate::io::to_json(&g);
+        let json = serde_json::to_string(&g).unwrap();
         assert!(
             bin.len() * 2 < json.len(),
             "binary {} vs json {}",
@@ -308,6 +308,27 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn dangling_edge_is_detected() {
+        // One vertex, and an edge pointing at vertex 5, which does not exist.
+        let mut data = BytesMut::new();
+        data.put_slice(MAGIC);
+        data.put_u16_le(VERSION);
+        data.put_u32_le(1);
+        data.put_u32_le(1);
+        data.put_u32_le(1);
+        data.put_u16_le(1);
+        data.put_slice(b"a");
+        data.put_u32_le(0);
+        data.put_u16_le(0);
+        for field in [0, 5, 0] {
+            data.put_u32_le(field);
+        }
+        data.put_u16_le(0);
+        let err = from_bytes(data.freeze()).unwrap_err();
+        assert!(matches!(err, GraphError::CorruptGraph(_)), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::error::GraphError;
 use crate::ids::{EdgeId, VertexId};
 use crate::props::Properties;
 use crate::vertex::Vertex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 
 /// A directed labeled graph `G = (V, E, L)` (§II of the paper).
@@ -14,7 +14,7 @@ use std::collections::HashMap;
 /// into the merged graph, and attaches cache indexes, but never deletes
 /// structure mid-query; dropping deletion keeps ids stable and the arenas
 /// dense.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Graph {
     vertices: Vec<Vertex>,
     edges: Vec<Edge>,
@@ -227,25 +227,6 @@ impl Graph {
     /// Whether an edge `src → dst` with this label exists.
     pub fn has_edge(&self, src: VertexId, dst: VertexId, label: &str) -> bool {
         self.edges_between(src, dst).any(|(_, e)| e.label() == label)
-    }
-
-    /// Rebuild the label and edge-label indexes from the arenas. Called after
-    /// deserialization (the indexes are not persisted).
-    pub(crate) fn rebuild_indexes(&mut self) {
-        self.label_index.clear();
-        self.edge_label_counts.clear();
-        for (i, v) in self.vertices.iter().enumerate() {
-            self.label_index
-                .entry(v.label().to_owned())
-                .or_default()
-                .push(VertexId::from_index(i));
-        }
-        for e in &self.edges {
-            *self
-                .edge_label_counts
-                .entry(e.label().to_owned())
-                .or_insert(0) += 1;
-        }
     }
 
     /// Validate internal consistency: every edge endpoint resolves, and every

@@ -41,7 +41,6 @@ pub mod edge;
 pub mod error;
 pub mod graph;
 pub mod ids;
-pub mod io;
 pub mod props;
 pub mod stats;
 pub mod subgraph;

@@ -2,10 +2,12 @@
 
 use proptest::prelude::*;
 use svqa_graph::{
-    induced_subgraph, k_hop_neighborhood, Bfs, Graph, GraphBuilder, LabelHistogram, VertexId,
+    binio, induced_subgraph, k_hop_neighborhood, Bfs, Graph, GraphBuilder, LabelHistogram,
+    PropValue, VertexId,
 };
 
-/// Strategy: a random small graph as (vertex labels, edge index pairs).
+/// Strategy: a random small graph as (vertex labels, edge index pairs);
+/// every vertex carries its label number as an `image` property.
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (1usize..40).prop_flat_map(|n| {
         let labels = proptest::collection::vec(0u8..12, n);
@@ -14,7 +16,12 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
             let mut g = Graph::new();
             let ids: Vec<_> = labels
                 .into_iter()
-                .map(|l| g.add_vertex(format!("l{l}")))
+                .map(|l| {
+                    let props = [("image", PropValue::Int(i64::from(l)))]
+                        .into_iter()
+                        .collect();
+                    g.add_vertex_with_props(format!("l{l}"), props)
+                })
                 .collect();
             for (a, b, e) in edges {
                 g.add_edge(ids[a], ids[b], format!("e{e}")).unwrap();
@@ -30,13 +37,20 @@ proptest! {
         g.validate().unwrap();
     }
 
+    /// A round trip through the binary snapshot format (`binio`).
     #[test]
     fn serde_roundtrip_preserves_everything(g in arb_graph()) {
-        let back = svqa_graph::io::from_json(&svqa_graph::io::to_json(&g)).unwrap();
+        let back = binio::from_bytes(binio::to_bytes(&g)).unwrap();
         prop_assert_eq!(back.vertex_count(), g.vertex_count());
         prop_assert_eq!(back.edge_count(), g.edge_count());
         for (vid, v) in g.vertices() {
-            prop_assert_eq!(back.vertex_label(vid), Some(v.label()));
+            let bv = back.vertex(vid).unwrap();
+            prop_assert_eq!(bv.label(), v.label());
+            prop_assert_eq!(bv.props(), v.props());
+        }
+        for (eid, e) in g.edges() {
+            let be = back.edge(eid).unwrap();
+            prop_assert_eq!((be.src(), be.dst(), be.label()), (e.src(), e.dst(), e.label()));
         }
         // Rebuilt label index answers identically.
         for (label, count) in g.vertex_label_counts() {

@@ -94,6 +94,11 @@ impl RelationPredictor {
         &self.params
     }
 
+    /// The fitted prior.
+    pub fn prior(&self) -> &PairPrior {
+        &self.prior
+    }
+
     /// Raw (pre-softmax) relation scores for an ordered pair — the "logit"
     /// space in which real TDE implementations take the Eq. (3) difference.
     /// Pass [`FeatureMap::masked`] maps to obtain the Eq. (2) biased pass.

@@ -131,6 +131,11 @@ impl SceneGraphGenerator {
         &self.config
     }
 
+    /// The relation model's fitted prior.
+    pub fn prior(&self) -> &PairPrior {
+        self.predictor.prior()
+    }
+
     /// Generate the scene graph of one image.
     pub fn generate(&self, image: &SyntheticImage) -> SceneGraphOutput {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SGG);

@@ -135,3 +135,30 @@ fn ask_explain_writes_chrome_trace_and_profile_json() {
     assert_eq!(profile["question"].as_str(), Some(QUESTION));
     assert!(profile["quads"].as_array().is_some_and(|q| !q.is_empty()));
 }
+
+/// The first line starting with `name` in `report`.
+fn report_line<'a>(report: &'a str, name: &str) -> &'a str {
+    report
+        .lines()
+        .find(|l| l.starts_with(name))
+        .unwrap_or_else(|| panic!("no {name} line in:\n{report}"))
+}
+
+#[test]
+fn a_saved_world_evaluates_and_answers_like_an_in_process_build() {
+    let world = std::env::temp_dir().join(format!("svqa_saved_world_{}", std::process::id()));
+    let world = world.to_str().unwrap();
+    run_cli(&["build", "--images", "40", "--seed", "5", "--out", world]);
+
+    let saved = run_cli(&["eval", "--world", world]);
+    let built = run_cli(&["eval", "--images", "40", "--seed", "5"]);
+    for name in ["Judgment", "Counting", "Reasoning", "Overall"] {
+        assert_eq!(report_line(&saved, name), report_line(&built, name));
+    }
+
+    // Only `eval --world` reads the questions.
+    std::fs::remove_file(std::path::Path::new(world).join("questions.json")).unwrap();
+    let text = run_cli(&["ask", "--world", world, QUESTION]);
+    assert!(text.contains("answer:"), "{text}");
+    let _ = std::fs::remove_dir_all(world);
+}

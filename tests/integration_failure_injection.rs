@@ -22,7 +22,7 @@ fn blind_detector_degrades_gracefully() {
         ..DetectorConfig::default()
     };
     let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
-    let outcome = evaluate_on_mvqa(&system, &mvqa);
+    let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
     // Only all-No judgments can score.
     assert_eq!(outcome.counting, 0.0, "{outcome:?}");
     assert_eq!(outcome.reasoning, 0.0, "{outcome:?}");
@@ -40,7 +40,7 @@ fn maximal_label_confusion_still_executes() {
     for q in mvqa.questions.iter().take(20) {
         let _ = system.answer(&q.question);
     }
-    let outcome = evaluate_on_mvqa(&system, &mvqa);
+    let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
     // Accuracy collapses versus the healthy pipeline but stays a valid
     // fraction.
     assert!((0.0..=1.0).contains(&outcome.overall));
@@ -70,8 +70,8 @@ fn extreme_jitter_hurts_but_does_not_break() {
     config.sgg.detector.bbox_jitter = 0.9;
     let healthy = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let jittery = Svqa::build(&mvqa.images, &mvqa.kg, config);
-    let h = evaluate_on_mvqa(&healthy, &mvqa);
-    let j = evaluate_on_mvqa(&jittery, &mvqa);
+    let h = evaluate_on_mvqa(&healthy, &mvqa.questions);
+    let j = evaluate_on_mvqa(&jittery, &mvqa.questions);
     assert!(
         j.overall <= h.overall + 0.05,
         "jitter should not help: healthy {} vs jittery {}",

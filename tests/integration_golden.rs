@@ -61,20 +61,10 @@ fn zero_times(v: &Value) -> Value {
     }
 }
 
-/// Write the world the way `svqa-cli build` does, so `explain` can load it.
-fn write_world(system: &Svqa, mvqa: &Mvqa) -> PathBuf {
+/// Save the world the way `svqa-cli build` does, so `explain` can open it.
+fn write_world(system: &Svqa) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("svqa_golden_world_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create world dir");
-    std::fs::write(
-        dir.join("merged.svqg"),
-        svqa::graph::binio::to_bytes(system.merged_graph()),
-    )
-    .expect("write snapshot");
-    std::fs::write(
-        dir.join("questions.json"),
-        serde_json::to_string_pretty(&mvqa.questions).expect("questions serialize"),
-    )
-    .expect("write questions");
+    system.save(&dir).expect("save the world");
     dir
 }
 
@@ -122,7 +112,7 @@ fn actual() -> Value {
             })
         })
         .collect();
-    let world = write_world(&system, &mvqa);
+    let world = write_world(&system);
     let explained: Vec<Value> = EXPLAINED
         .iter()
         .map(|q| {

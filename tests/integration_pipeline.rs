@@ -92,7 +92,7 @@ fn answer_types_match_question_types() {
 #[test]
 fn end_to_end_accuracy_beats_chance_by_far() {
     let (system, mvqa) = world();
-    let outcome = evaluate_on_mvqa(&system, &mvqa);
+    let outcome = evaluate_on_mvqa(&system, &mvqa.questions);
     assert!(
         outcome.overall > 0.7,
         "pipeline accuracy regressed: {outcome:?}"
@@ -147,8 +147,8 @@ fn tde_improves_end_to_end_accuracy() {
     orig_cfg.sgg.use_tde = false;
     let orig = Svqa::build(&mvqa.images, &mvqa.kg, orig_cfg);
     let tde = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let orig_acc = evaluate_on_mvqa(&orig, &mvqa).overall;
-    let tde_acc = evaluate_on_mvqa(&tde, &mvqa).overall;
+    let orig_acc = evaluate_on_mvqa(&orig, &mvqa.questions).overall;
+    let tde_acc = evaluate_on_mvqa(&tde, &mvqa.questions).overall;
     assert!(
         tde_acc >= orig_acc,
         "TDE {tde_acc} should not lose to Original {orig_acc}"
