@@ -1,11 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
-//! frequency-sorted vs FIFO scheduling, Algorithm 1's subgraph-cache
-//! thresholds, and sequential vs parallel execution.
+//! frequency-sorted vs FIFO scheduling and Algorithm 1's subgraph-cache
+//! thresholds.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use svqa::aggregator::{AggregatorConfig, DataAggregator};
-use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-use svqa::qparser::QueryGraphGenerator;
 use svqa::vision::prior::PairPrior;
 use svqa::vision::sgg::{SceneGraphGenerator, SggConfig};
 use svqa::{Svqa, SvqaConfig};
@@ -13,33 +11,16 @@ use svqa_dataset::{build_knowledge_graph, Mvqa};
 
 fn bench_ablations(c: &mut Criterion) {
     let mvqa = Mvqa::generate_small(500, 21);
-    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let generator = QueryGraphGenerator::new();
-    let graphs: Vec<_> = mvqa
-        .questions
-        .iter()
-        .filter_map(|q| generator.generate(&q.question).ok())
-        .collect();
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
 
-    // Scheduler ordering ablation.
+    // Scheduler ordering ablation: the same world, answered in frequency
+    // order and in submission order.
     for (label, sort) in [("freq_sorted", true), ("fifo", false)] {
-        let scheduler = QueryScheduler::new(SchedulerConfig {
-            frequency_sort: sort,
-            ..SchedulerConfig::default()
-        });
+        let mut config = SvqaConfig::default();
+        config.scheduler.frequency_sort = sort;
+        let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
         c.bench_function(&format!("ablation/scheduler_{label}"), |b| {
-            b.iter(|| black_box(scheduler.run(system.merged_graph(), &graphs).answers.len()))
-        });
-    }
-
-    // Parallelism ablation.
-    for threads in [1usize, 2, 4] {
-        let scheduler = QueryScheduler::new(SchedulerConfig {
-            threads,
-            ..SchedulerConfig::default()
-        });
-        c.bench_function(&format!("ablation/threads_{threads}"), |b| {
-            b.iter(|| black_box(scheduler.run(system.merged_graph(), &graphs).answers.len()))
+            b.iter(|| black_box(system.answer_batch(&questions).answers.len()))
         });
     }
 

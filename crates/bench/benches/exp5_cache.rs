@@ -3,19 +3,21 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
 use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-use svqa::qparser::QueryGraphGenerator;
 use svqa::{Svqa, SvqaConfig};
 use svqa_dataset::Mvqa;
 
 fn bench_exp5(c: &mut Criterion) {
     let mvqa = Mvqa::generate_small(500, 21);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let generator = QueryGraphGenerator::new();
-    let graphs: Vec<_> = mvqa
-        .questions
-        .iter()
-        .filter_map(|q| generator.generate(&q.question).ok())
-        .collect();
+    let questions: Vec<&str> = mvqa.questions.iter().map(|q| q.question.as_str()).collect();
+    let mut bench = |name: String, scheduler: QueryScheduler| {
+        c.bench_function(&name, |b| {
+            b.iter(|| {
+                let cache = scheduler.build_cache();
+                black_box(system.answer_batch_cached(&questions, &cache).answers.len())
+            })
+        });
+    };
 
     // Fig. 10a/10b: granularities.
     for (label, g) in [
@@ -29,9 +31,7 @@ fn bench_exp5(c: &mut Criterion) {
             pool_size: 100,
             ..SchedulerConfig::default()
         });
-        c.bench_function(&format!("exp5/batch_cache_{label}"), |b| {
-            b.iter(|| black_box(scheduler.run(system.merged_graph(), &graphs).answers.len()))
-        });
+        bench(format!("exp5/batch_cache_{label}"), scheduler);
     }
 
     // Fig. 11: policy × pool size.
@@ -42,9 +42,7 @@ fn bench_exp5(c: &mut Criterion) {
                 pool_size: pool,
                 ..SchedulerConfig::default()
             });
-            c.bench_function(&format!("exp5/pool_{policy:?}_{pool}"), |b| {
-                b.iter(|| black_box(scheduler.run(system.merged_graph(), &graphs).answers.len()))
-            });
+            bench(format!("exp5/pool_{policy:?}_{pool}"), scheduler);
         }
     }
 }

@@ -3,7 +3,8 @@
 
 use svqa::dataset::mvqa::{Mvqa, MvqaConfig};
 use svqa::dataset::questions::QuestionCounts;
-use svqa_bench::{run_exp1, run_exp4, table_1_and_2};
+use svqa::{Svqa, SvqaConfig};
+use svqa_bench::{run_exp1, run_exp4, run_exp5, table_1_and_2};
 
 fn tiny_mvqa() -> Mvqa {
     Mvqa::generate(MvqaConfig {
@@ -51,4 +52,25 @@ fn exp4_series_are_monotone_for_baselines() {
     assert_eq!(report.by_clause.len(), 4);
     assert!(t9a.render().contains("DisSim"));
     assert!(t9b.render().contains("clause"));
+}
+
+#[test]
+fn exp5_times_every_cache_configuration() {
+    let mvqa = Mvqa::generate_small(60, 0xbeef);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let (report, t10a, t10b, t11) = run_exp5(&mvqa, &system);
+    assert_eq!(
+        report.cache_onoff.iter().map(|r| r.0).collect::<Vec<_>>(),
+        [20, 40, 60, 80, 100]
+    );
+    assert!(report.cache_onoff.iter().all(|&(_, off, on)| off > 0.0 && on > 0.0));
+    let labels: Vec<&str> = report.granularity.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["No", "Scope", "Path", "Both"]);
+    assert!(report.granularity.iter().all(|(_, secs)| *secs > 0.0));
+    // Two policies × five pool sizes × three batch sizes.
+    assert_eq!(report.pool_sweep.len(), 30);
+    assert!(report.pool_sweep.iter().all(|(_, _, _, secs)| *secs > 0.0));
+    assert!(t10a.render().contains("Reduction"));
+    assert!(t10b.render().contains("Granularity"));
+    assert!(t11.render().contains("LRU"));
 }

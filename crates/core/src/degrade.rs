@@ -202,26 +202,22 @@ fn attempt_with_retry(
     }
 }
 
-/// Retry an execution on injected transient errors, within the policy and
-/// deadline budget: `first` is the outcome of the attempt already made,
-/// `run` makes another. Non-injected errors return immediately.
+/// Run an execution, retrying it on injected transient errors within the
+/// policy and deadline budget. Non-injected errors return immediately.
 pub(crate) fn execute_with_retry<T>(
     retry: &RetryPolicy,
     deadline: Option<Instant>,
-    first: Result<T, svqa_executor::executor::ExecError>,
     mut run: impl FnMut() -> Result<T, svqa_executor::executor::ExecError>,
 ) -> Result<T, svqa_executor::executor::ExecError> {
     let mut attempt = 0u32;
-    let mut outcome = first;
     loop {
-        match outcome {
+        match run() {
             Err(svqa_executor::executor::ExecError::Injected)
                 if retry.fits(attempt, 0x6578, deadline) =>
             {
                 global().incr_counter(counter::FAULT_RETRIES);
                 std::thread::sleep(retry.backoff(attempt, 0x6578));
                 attempt += 1;
-                outcome = run();
             }
             other => return other,
         }

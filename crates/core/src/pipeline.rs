@@ -67,7 +67,8 @@ pub struct BatchOutcome {
     /// Wall-clock per question (original order; parse-failed questions
     /// carry their parse time).
     pub per_query: Vec<Duration>,
-    /// Cache hit/miss counters accumulated over the batch.
+    /// Cache hit/miss counters accumulated over the batch: the sum of the
+    /// per-question deltas in `traces`.
     pub cache_stats: CacheStats,
     /// Per-question telemetry traces (original order).
     pub traces: Vec<QueryTrace>,
@@ -447,7 +448,13 @@ impl Svqa {
         let (query, executed) = match query {
             Err(e) => (None, Err(e)),
             Ok(query) => {
-                let executed = self.execute_guarded(&query.0, cache, deadline, &mut trace);
+                let executed = self.probe(deadline).and_then(|(status, missing)| {
+                    let cache = if missing.is_none() { cache } else { None };
+                    let executor =
+                        QueryGraphExecutor::with_config(self.view(missing), self.config.executor);
+                    let run = self.execute(&executor, &query.0, cache, deadline, &mut trace)?;
+                    Ok((status, run, missing))
+                });
                 if executed.is_err() {
                     trace.outcome = QueryOutcome::ExecError;
                 }
@@ -455,13 +462,13 @@ impl Svqa {
             }
         };
         let (result, run, missing) = match executed {
-            Ok((guarded, run, missing)) => (Ok(guarded), Some(run), missing),
+            Ok((status, run, missing)) => {
+                let answer = run.answer.clone();
+                (Ok(GuardedAnswer { answer, status }), Some(run), missing)
+            }
             Err(e) => (Err(e), None, None),
         };
-        count_outcome(&result);
-        if result.as_ref().is_ok_and(|g| g.status.is_degraded()) {
-            global().incr_counter(counter::ANSWERS_DEGRADED);
-        }
+        count_outcome(&result, result.as_ref().is_ok_and(|g| g.status.is_degraded()));
         Answered {
             result,
             trace,
@@ -471,34 +478,28 @@ impl Svqa {
         }
     }
 
-    /// Probe the sources, then run `gq` with retries over the evidence that
-    /// is up. Records the `match` stage (and cache traffic) on `trace`.
-    fn execute_guarded(
+    /// The one body that executes a prepared query graph, for single
+    /// questions and batches alike: run `gq` on `executor` with retries for
+    /// injected faults, and record the `match` stage and the cache traffic
+    /// this question produced on `trace`.
+    fn execute(
         &self,
+        executor: &QueryGraphExecutor,
         gq: &QueryGraph,
         cache: Option<&ShardedCache>,
         deadline: Option<Instant>,
         trace: &mut QueryTrace,
-    ) -> Result<(GuardedAnswer, Run, Option<Source>), SvqaError> {
-        let (status, missing) = self.probe(deadline)?;
-        let cache = if missing.is_none() { cache } else { None };
+    ) -> Result<Run, SvqaError> {
         let before = cache.map(ShardedCache::stats);
-        let executor = QueryGraphExecutor::with_config(self.view(missing), self.config.executor);
         let t0 = Instant::now();
-        let first = executor.run(gq, cache);
-        let executed = execute_with_retry(&self.config.degrade.retry, deadline, first, || {
+        let run = execute_with_retry(&self.config.degrade.retry, deadline, || {
             executor.run(gq, cache)
         });
         trace.record_stage(stage::MATCH, t0.elapsed());
         if let (Some(c), Some(before)) = (cache, before) {
             trace.cache = c.stats().delta_since(&before);
         }
-        let run = executed?;
-        let guarded = GuardedAnswer {
-            answer: run.answer.clone(),
-            status,
-        };
-        Ok((guarded, run, missing))
+        Ok(run?)
     }
 
     /// Probe every source once (breaker gate, injection site, retries
@@ -583,11 +584,10 @@ impl Svqa {
     }
 
     /// Answer a batch with the §V-B optimized scheduler (frequency-sorted
-    /// order, shared key-centric cache, optional parallelism). Each call
-    /// starts from a cold cache; long-lived callers (the query server)
-    /// should hold a [`ShardedCache`] and use
-    /// [`answer_batch_with`](Self::answer_batch_with) so hits carry over
-    /// between batches.
+    /// order, shared key-centric cache). Each call starts from a cold
+    /// cache; long-lived callers (the query server) should hold a
+    /// [`ShardedCache`] and use [`answer_batch_with`](Self::answer_batch_with)
+    /// so hits carry over between batches.
     pub fn answer_batch(&self, questions: &[&str]) -> BatchOutcome {
         let cache = QueryScheduler::new(self.config.scheduler).build_cache();
         self.answer_batch_with(questions, &cache, None)
@@ -600,13 +600,13 @@ impl Svqa {
     }
 
     /// The batch path: [`prepare`](Self::prepare) every question, probe
-    /// the sources once for the whole batch (as
-    /// [`answer_prepared`](Self::answer_prepared) does per question), then
-    /// run the prepared query graphs through the scheduler over the
-    /// evidence that is up. Scopes and paths cached by earlier requests in
-    /// `cache` accelerate this batch; a degraded batch runs over the
-    /// surviving view with a throwaway cache. `deadline` bounds the probe
-    /// and the retries of injected execution faults.
+    /// the sources once for the whole batch, then run each prepared query
+    /// graph in the scheduler's order through the same body as
+    /// [`answer_prepared`](Self::answer_prepared), over the evidence that
+    /// is up. Scopes and paths cached by earlier requests in `cache`
+    /// accelerate this batch; a degraded batch runs over the surviving
+    /// view with no cache, as a degraded question does. `deadline` bounds
+    /// the probe and the retries of injected execution faults.
     pub fn answer_batch_with(
         &self,
         questions: &[&str],
@@ -617,13 +617,11 @@ impl Svqa {
         let mut answers: Vec<Option<Result<Answer, SvqaError>>> =
             Vec::with_capacity(questions.len());
         let mut traces: Vec<QueryTrace> = Vec::with_capacity(questions.len());
-        let mut per_query: Vec<Duration> = Vec::with_capacity(questions.len());
         // Original indices and query graphs of the questions that may run.
         let mut runnable: Vec<usize> = Vec::new();
         let mut graphs: Vec<QueryGraph> = Vec::new();
         for (i, question) in questions.iter().enumerate() {
             let Prepared { query, trace } = self.prepare(question);
-            per_query.push(trace.total());
             traces.push(trace);
             match query {
                 Ok((gq, _)) => {
@@ -651,63 +649,25 @@ impl Svqa {
                     }
                 }
                 Ok((probed, missing)) => {
-                    let graph = self.view(missing);
-                    let scheduler = QueryScheduler::new(self.config.scheduler);
-                    let throwaway;
-                    let cache = if missing.is_none() {
-                        cache
-                    } else {
-                        throwaway = scheduler.build_cache();
-                        &throwaway
-                    };
+                    let cache = if missing.is_none() { Some(cache) } else { None };
+                    let executor =
+                        QueryGraphExecutor::with_config(self.view(missing), self.config.executor);
                     // The linter's cardinality estimates are join-order
                     // hints: ties in the frequency ordering break toward
                     // cheaper plans.
                     let hints: Vec<f64> =
                         graphs.iter().map(|g| self.linter.cost(g).total).collect();
-                    let report =
-                        scheduler.run_with_cache_hinted(graph, &graphs, cache, Some(&hints));
-                    // Injected execution faults are retried one question at
-                    // a time, on an executor built only if one happens.
-                    let mut retrier = None;
-                    let retry = &self.config.degrade.retry;
-                    for ((&i, gq), (first, dt)) in runnable
-                        .iter()
-                        .zip(&graphs)
-                        .zip(report.answers.into_iter().zip(report.per_query))
-                    {
-                        let answer = execute_with_retry(retry, deadline, first, || {
-                            retrier
-                                .get_or_insert_with(|| {
-                                    QueryGraphExecutor::with_config(graph, self.config.executor)
-                                })
-                                .run(gq, Some(cache))
-                                .map(|run| run.answer)
-                        });
-                        if answer.is_err() {
-                            traces[i].outcome = QueryOutcome::ExecError;
-                        } else if probed.is_degraded() {
-                            global().incr_counter(counter::ANSWERS_DEGRADED);
+                    let order =
+                        QueryScheduler::new(self.config.scheduler).order_batch(&graphs, Some(&hints));
+                    for k in order {
+                        let trace = &mut traces[runnable[k]];
+                        let run = self.execute(&executor, &graphs[k], cache, deadline, trace);
+                        if run.is_err() {
+                            trace.outcome = QueryOutcome::ExecError;
                         }
-                        traces[i].record_stage(stage::MATCH, dt);
-                        per_query[i] += dt;
-                        answers[i] = Some(answer.map_err(SvqaError::from));
+                        cache_stats.merge(&trace.cache);
+                        answers[runnable[k]] = Some(run.map(|run| run.answer));
                     }
-                    report.cache_stats.record_to(global());
-                    // The cache is shared across the batch, so per-question
-                    // attribution is an even split (documented as
-                    // approximate on `QueryTrace`).
-                    let executed = runnable.len() as u64;
-                    let share = CacheStats {
-                        scope_hits: report.cache_stats.scope_hits / executed,
-                        scope_misses: report.cache_stats.scope_misses / executed,
-                        path_hits: report.cache_stats.path_hits / executed,
-                        path_misses: report.cache_stats.path_misses / executed,
-                    };
-                    for &i in &runnable {
-                        traces[i].cache = share;
-                    }
-                    cache_stats = report.cache_stats;
                     status = probed;
                 }
             }
@@ -717,12 +677,12 @@ impl Svqa {
             .map(|a| a.expect("all questions accounted for"))
             .collect();
         for a in &answers {
-            count_outcome(a);
+            count_outcome(a, status.is_degraded());
         }
         BatchOutcome {
             answers,
             total: start.elapsed(),
-            per_query,
+            per_query: traces.iter().map(QueryTrace::total).collect(),
             cache_stats,
             traces,
             status,
@@ -760,10 +720,16 @@ fn invalid(path: &Path, e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
 }
 
-/// Bump the global answered/failed counters for a finished question.
-fn count_outcome<T>(result: &Result<T, SvqaError>) {
+/// Bump the global answered/failed counters for a finished question, and
+/// the degraded counter for an answer from a `degraded` run.
+fn count_outcome<T>(result: &Result<T, SvqaError>, degraded: bool) {
     match result {
-        Ok(_) => global().incr_counter(counter::QUESTIONS_ANSWERED),
+        Ok(_) => {
+            global().incr_counter(counter::QUESTIONS_ANSWERED);
+            if degraded {
+                global().incr_counter(counter::ANSWERS_DEGRADED);
+            }
+        }
         Err(_) => global().incr_counter(counter::QUESTIONS_FAILED),
     }
 }
@@ -890,5 +856,112 @@ mod tests {
         }
         assert!(batch.total > Duration::ZERO);
         assert_eq!(batch.status, AnswerStatus::Full);
+    }
+
+    fn questions(mvqa: &Mvqa) -> Vec<&str> {
+        mvqa.questions.iter().map(|q| q.question.as_str()).collect()
+    }
+
+    #[test]
+    fn run_returns_answers_in_original_order() {
+        let (system, _) = small_system();
+        // The frequency ordering runs the two shared dog questions before
+        // the unique cat question; answers still come back as submitted.
+        let questions = [
+            "Does the cat appear in the car?",
+            "Does the dog appear in the car?",
+            "Does the dog appear in the car?",
+        ];
+        let graphs: Vec<QueryGraph> = questions.iter().map(|q| system.parse(q).unwrap()).collect();
+        assert_eq!(*QueryScheduler::order(&graphs).last().unwrap(), 0);
+        let cache = QueryScheduler::new(system.config().scheduler).build_cache();
+        let batch = system.answer_batch_cached(&questions, &cache);
+        assert_eq!(batch.answers.len(), questions.len());
+        for (q, b) in questions.iter().zip(&batch.answers) {
+            assert_eq!(b.as_ref().unwrap(), &system.answer(q).unwrap(), "{q}");
+        }
+        assert!(batch.total >= batch.per_query.iter().copied().max().unwrap_or_default());
+    }
+
+    #[test]
+    fn duplicate_queries_hit_the_cache() {
+        let (system, _) = small_system();
+        let question = "Does the dog appear in the car?";
+        let cache = QueryScheduler::new(system.config().scheduler).build_cache();
+        let batch = system.answer_batch_cached(&[question; 3], &cache);
+        // Path hits short-circuit the whole query stage (scope lookups are
+        // skipped entirely on a hit), so repeats register as path hits.
+        let ph = batch.cache_stats.path_hits;
+        assert!(ph >= 2, "path hits = {ph}");
+        assert_eq!(batch.traces[0].cache.path_hits, 0);
+        assert!(batch.traces[1].cache.path_hits > 0 && batch.traces[2].cache.path_hits > 0);
+    }
+
+    /// A caller-owned cache persists across batches: the second identical
+    /// batch is served from cache state seeded by the first, and each
+    /// outcome carries only its own delta.
+    #[test]
+    fn shared_cache_persists_across_batches() {
+        let (system, _) = small_system();
+        let questions = ["Does the dog appear in the car?"];
+        let cache = QueryScheduler::new(system.config().scheduler).build_cache();
+        let first = system.answer_batch_cached(&questions, &cache);
+        assert_eq!(first.cache_stats.path_hits, 0);
+        assert!(first.cache_stats.path_misses > 0);
+        let second = system.answer_batch_cached(&questions, &cache);
+        assert!(
+            second.cache_stats.path_hits > 0,
+            "second batch must hit the persistent cache: {:?}",
+            second.cache_stats
+        );
+        assert_eq!(second.cache_stats.path_misses, 0);
+        assert_eq!(first.answers, second.answers);
+    }
+
+    #[test]
+    fn empty_batch() {
+        let (system, _) = small_system();
+        let cache = QueryScheduler::new(system.config().scheduler).build_cache();
+        let batch = system.answer_batch_cached(&[], &cache);
+        assert!(batch.answers.is_empty() && batch.traces.is_empty());
+        assert_eq!(batch.cache_stats, CacheStats::default());
+        assert_eq!(batch.status, AnswerStatus::Full);
+    }
+
+    /// Each trace carries its question's exact cache traffic, so the traces
+    /// add up to the batch's total.
+    #[test]
+    fn batch_cache_stats_are_the_sum_of_per_question_deltas() {
+        let (system, mvqa) = small_system();
+        let batch = system.answer_batch(&questions(&mvqa));
+        let mut summed = CacheStats::default();
+        for trace in &batch.traces {
+            summed.merge(&trace.cache);
+        }
+        assert_eq!(summed, batch.cache_stats);
+        // The fresh-cache traffic of this world's question set, pinned.
+        let expected = CacheStats {
+            scope_hits: 128,
+            scope_misses: 49,
+            path_hits: 60,
+            path_misses: 50,
+        };
+        assert_eq!(batch.cache_stats, expected);
+    }
+
+    /// A batch executes with the system's executor configuration, exactly
+    /// as a single question does — here one far from the default.
+    #[test]
+    fn batch_answers_like_single_questions_under_a_custom_executor() {
+        let mvqa = Mvqa::generate_small(250, 11);
+        let mut config = SvqaConfig::default();
+        config.executor.embed_threshold = 0.99;
+        config.executor.min_predicate_similarity = 0.99;
+        let system = Svqa::build(&mvqa.images, &mvqa.kg, config);
+        let questions = questions(&mvqa);
+        let batch = system.answer_batch(&questions);
+        for (q, b) in questions.iter().zip(&batch.answers) {
+            assert_eq!(b, &system.answer(q), "{q}");
+        }
     }
 }

@@ -8,9 +8,9 @@
 //!   its evidence status, and the exact cache traffic this question
 //!   generated; its `EXPLAIN ANALYZE` profile goes to `/profiles/recent`;
 //! * `POST /batch` — `{"questions": [...], "deadline_ms"?: N}` → per-
-//!   question answers via the §V-B scheduler (frequency-sorted order,
-//!   shared cache, configured parallelism), under the same breaker,
-//!   degradation and deadline contract as `/ask`;
+//!   question answers in the §V-B scheduler's frequency-sorted order over
+//!   the shared cache, under the same breaker, degradation and deadline
+//!   contract as `/ask`;
 //! * `GET /healthz` — liveness plus graph/queue shape (answered inline,
 //!   never queued, so health stays green under load);
 //! * `POST /shutdown` — graceful drain: stop accepting, finish queued

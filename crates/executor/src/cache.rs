@@ -21,6 +21,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use svqa_graph::VertexId;
 pub use svqa_telemetry::CacheStats;
+use svqa_telemetry::{counter, global};
 
 /// Eviction policy for the bounded pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,20 +53,24 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// One bounded key-value store.
+/// One bounded key-value store. Every lookup is counted twice: in the
+/// pool's own hit/miss fields, and in the process-wide telemetry counters
+/// named by `counters` (hit, miss), which `/metrics` reports.
 #[derive(Debug)]
 struct Pool<V> {
     map: HashMap<String, Entry<V>>,
     hits: u64,
     misses: u64,
+    counters: (&'static str, &'static str),
 }
 
 impl<V> Pool<V> {
-    fn new() -> Self {
+    fn new(counters: (&'static str, &'static str)) -> Self {
         Pool {
             map: HashMap::new(),
             hits: 0,
             misses: 0,
+            counters,
         }
     }
 
@@ -75,10 +80,12 @@ impl<V> Pool<V> {
                 e.freq += 1;
                 e.last_used = tick;
                 self.hits += 1;
+                global().incr_counter(self.counters.0);
                 Some(&e.value)
             }
             None => {
                 self.misses += 1;
+                global().incr_counter(self.counters.1);
                 None
             }
         }
@@ -115,8 +122,8 @@ impl KeyCentricCache {
             granularity,
             policy,
             pool_size,
-            scope: Pool::new(),
-            path: Pool::new(),
+            scope: Pool::new((counter::CACHE_SCOPE_HITS, counter::CACHE_SCOPE_MISSES)),
+            path: Pool::new((counter::CACHE_PATH_HITS, counter::CACHE_PATH_MISSES)),
             tick: 0,
         }
     }
@@ -320,8 +327,8 @@ impl KeyCentricCache {
 /// of `N` shards, each holding its own [`KeyCentricCache`] behind its own
 /// mutex, with the total item budget split across shards. Callers see the
 /// same scope/path API as the single pool but with `&self` methods, so one
-/// long-lived `ShardedCache` can back the query service and parallel
-/// scheduler workers without serializing every lookup on a single lock.
+/// long-lived `ShardedCache` can back the query service's concurrent
+/// workers without serializing every lookup on a single lock.
 ///
 /// Stats are the merge of per-shard counters
 /// ([`CacheStats::merge`]); eviction stays shard-local, which approximates

@@ -16,8 +16,9 @@
 //!   sets) and *path* items (relation-pair sets), bounded pools with LFU or
 //!   LRU eviction;
 //! * [`scheduler`] — optimized multi-query scheduling: frequency-ratio
-//!   scoring, descending execution order, shared cache, and parallel
-//!   execution on `std::thread` scoped threads;
+//!   scoring and the descending execution order of a batch, plus the
+//!   shared cache a batch runs against (batches themselves run through the
+//!   pipeline's answer path, one question at a time);
 //! * [`profile`] — `EXPLAIN ANALYZE`: per-quadruple plan profiles
 //!   (candidate-set funnel, cache classification, edge scans, timings)
 //!   rendered as a text tree or JSON;
@@ -44,5 +45,5 @@ pub use executor::{
 pub use explain::{Explanation, SupportFact};
 pub use matching::{MatchMethod, VertexMatcher};
 pub use profile::{ExecutionProfile, QuadPlan, ScheduleInfo};
-pub use scheduler::{BatchReport, QueryScheduler, SchedulerConfig};
+pub use scheduler::{QueryScheduler, SchedulerConfig};
 pub use words::Constraint;

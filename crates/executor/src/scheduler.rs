@@ -1,24 +1,18 @@
-//! Optimized multi-query scheduling (§V-B) and parallel execution.
+//! Optimized multi-query scheduling (§V-B).
 //!
 //! Before executing N query graphs, each distinct SPOC vertex key is
 //! counted across the batch; every query graph gets a score = sum of its
 //! vertices' frequency ratios, and the batch executes in descending score
 //! order so queries with highly shared vertices run first and seed the
-//! cache for the rest (Fig. 6). "We parallelize our algorithm to further
-//! improve its performance" — with `threads > 1` a worker pool drains the
-//! ordered queue, sharing one key-centric cache behind a mutex.
+//! cache for the rest (Fig. 6). The scheduler only orders a batch and
+//! builds its cache; the batch itself runs one question at a time through
+//! the pipeline's answer path (`Svqa::answer_batch_with`).
 
-use crate::answer::Answer;
-use crate::cache::{CacheGranularity, CacheStats, EvictionPolicy, ShardedCache};
-use crate::executor::{ExecError, ExecutorConfig, QueryGraphExecutor};
-use parking_lot::Mutex;
+use crate::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-use svqa_graph::Graph;
 use svqa_qparser::QueryGraph;
 
-/// Batch execution configuration.
+/// Batch scheduling and cache configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Cache granularity (No/Scope/Path/Both — Fig. 10b).
@@ -28,16 +22,12 @@ pub struct SchedulerConfig {
     /// Cache pool size in items (Fig. 11).
     pub pool_size: usize,
     /// Cache shards: the pool is split across this many key-hashed shards,
-    /// each behind its own lock, so parallel workers don't serialize on a
-    /// single cache mutex.
+    /// each behind its own lock, so concurrent callers (the query server's
+    /// workers) don't serialize on a single cache mutex.
     pub shards: usize,
-    /// Worker threads; 1 = sequential.
-    pub threads: usize,
     /// Whether to apply the frequency-ratio ordering (ablation switch; off
     /// = FIFO order).
     pub frequency_sort: bool,
-    /// Executor tuning.
-    pub executor: ExecutorConfig,
 }
 
 impl Default for SchedulerConfig {
@@ -47,30 +37,9 @@ impl Default for SchedulerConfig {
             policy: EvictionPolicy::Lfu,
             pool_size: 100,
             shards: 8,
-            threads: 1,
             frequency_sort: true,
-            executor: ExecutorConfig::default(),
         }
     }
-}
-
-/// Results of a batch run.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-query answers, in the *original* submission order.
-    pub answers: Vec<Result<Answer, ExecError>>,
-    /// Per-query execution time, in the original order.
-    pub per_query: Vec<Duration>,
-    /// Wall-clock time of the whole batch.
-    pub total: Duration,
-    /// Cache hit/miss counters accumulated over the batch.
-    pub cache_stats: CacheStats,
-    /// Execution order used (indices into the original batch).
-    pub order: Vec<usize>,
-    /// Frequency-ratio score per query, in the original order — the
-    /// scheduler's reuse rationale, regardless of whether frequency
-    /// ordering was actually applied.
-    pub scores: Vec<f64>,
 }
 
 /// The multi-query scheduler.
@@ -99,7 +68,7 @@ impl QueryScheduler {
 
     /// [`order`](Self::order) plus the per-query frequency-ratio scores in
     /// the *original* submission order — the reuse rationale surfaced by
-    /// `EXPLAIN ANALYZE` and `BatchReport`.
+    /// `EXPLAIN ANALYZE`.
     pub fn order_with_scores(queries: &[QueryGraph]) -> (Vec<usize>, Vec<f64>) {
         Self::order_with_scores_hinted(queries, None)
     }
@@ -151,10 +120,23 @@ impl QueryScheduler {
         (idx, scores)
     }
 
+    /// A batch's execution order (indices into `queries`): the
+    /// frequency-ratio ordering with optional cost hints (see
+    /// [`order_with_scores_hinted`](Self::order_with_scores_hinted)), or
+    /// submission order when `frequency_sort` is off. Recorded as the
+    /// `schedule` span.
+    pub fn order_batch(&self, queries: &[QueryGraph], cost_hints: Option<&[f64]>) -> Vec<usize> {
+        let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SCHEDULE);
+        if self.config.frequency_sort {
+            Self::order_with_scores_hinted(queries, cost_hints).0
+        } else {
+            (0..queries.len()).collect()
+        }
+    }
+
     /// Build the sharded cache this scheduler's configuration describes —
-    /// what [`run`](Self::run) uses per batch, and what a long-lived caller
-    /// (the query service) constructs once and feeds to
-    /// [`run_with_cache`](Self::run_with_cache) forever.
+    /// what a batch uses, and what a long-lived caller (the query service)
+    /// constructs once and feeds to every batch.
     pub fn build_cache(&self) -> ShardedCache {
         ShardedCache::new(
             self.config.granularity,
@@ -162,107 +144,6 @@ impl QueryScheduler {
             self.config.pool_size,
             self.config.shards,
         )
-    }
-
-    /// Execute a batch of query graphs over the merged graph with a fresh
-    /// per-batch cache.
-    pub fn run(&self, graph: &Graph, queries: &[QueryGraph]) -> BatchReport {
-        self.run_with_cache(graph, queries, &self.build_cache())
-    }
-
-    /// Execute a batch against a caller-owned [`ShardedCache`], so cache
-    /// state persists across batches (and across requests when the cache
-    /// belongs to the serving layer). The report's `cache_stats` are the
-    /// *delta* this batch produced, not the cache's lifetime counters.
-    pub fn run_with_cache(
-        &self,
-        graph: &Graph,
-        queries: &[QueryGraph],
-        cache: &ShardedCache,
-    ) -> BatchReport {
-        self.run_with_cache_hinted(graph, queries, cache, None)
-    }
-
-    /// [`run_with_cache`](Self::run_with_cache) with optional per-query
-    /// cost hints forwarded to the frequency ordering (see
-    /// [`order_with_scores_hinted`](Self::order_with_scores_hinted)).
-    pub fn run_with_cache_hinted(
-        &self,
-        graph: &Graph,
-        queries: &[QueryGraph],
-        cache: &ShardedCache,
-        cost_hints: Option<&[f64]>,
-    ) -> BatchReport {
-        let (order, scores) = {
-            let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::SCHEDULE);
-            let (sorted, scores) = Self::order_with_scores_hinted(queries, cost_hints);
-            if self.config.frequency_sort {
-                (sorted, scores)
-            } else {
-                ((0..queries.len()).collect(), scores)
-            }
-        };
-        let stats_before = cache.stats();
-        let executor = QueryGraphExecutor::with_config(graph, self.config.executor);
-
-        let mut answers: Vec<Option<Result<Answer, ExecError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let mut per_query = vec![Duration::ZERO; queries.len()];
-        let start = Instant::now();
-
-        if self.config.threads <= 1 {
-            for &qi in &order {
-                let t0 = Instant::now();
-                let result = executor
-                    .execute_cached(&queries[qi], Some(cache))
-                    .map(|(a, _)| a);
-                per_query[qi] = t0.elapsed();
-                answers[qi] = Some(result);
-            }
-        } else {
-            // Work-stealing over the ordered queue; results collected per
-            // worker and merged afterwards (answers are Send, the graph is
-            // shared immutably, the cache sharded behind per-shard locks).
-            let next = AtomicUsize::new(0);
-            type WorkerResult = (usize, Result<Answer, ExecError>, Duration);
-            let results: Mutex<Vec<WorkerResult>> =
-                Mutex::new(Vec::with_capacity(queries.len()));
-            std::thread::scope(|scope| {
-                for _ in 0..self.config.threads {
-                    scope.spawn(|| {
-                        loop {
-                            let slot = next.fetch_add(1, Ordering::Relaxed);
-                            if slot >= order.len() {
-                                break;
-                            }
-                            let qi = order[slot];
-                            let t0 = Instant::now();
-                            let result = executor
-                                .execute_cached(&queries[qi], Some(cache))
-                                .map(|(a, _)| a);
-                            results.lock().push((qi, result, t0.elapsed()));
-                        }
-                    });
-                }
-            });
-            for (qi, result, dt) in results.into_inner() {
-                answers[qi] = Some(result);
-                per_query[qi] = dt;
-            }
-        }
-
-        let cache_stats = cache.stats().delta_since(&stats_before);
-        BatchReport {
-            answers: answers
-                .into_iter()
-                .map(|a| a.expect("every query executed"))
-                .collect(),
-            per_query,
-            total: start.elapsed(),
-            cache_stats,
-            order,
-            scores,
-        }
     }
 }
 
@@ -277,21 +158,7 @@ fn vertex_key(v: &svqa_qparser::Spoc) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svqa_graph::GraphBuilder;
     use svqa_qparser::QueryGraphGenerator;
-
-    fn graph() -> Graph {
-        let mut b = GraphBuilder::new();
-        b.triple("dog", "is a", "pet").triple("cat", "is a", "pet");
-        let mut g = b.build();
-        let d = g.add_vertex("dog");
-        let c = g.add_vertex("car");
-        g.add_edge(d, c, "in").unwrap();
-        let kg_dog = g.vertices_with_label("dog")[0];
-        g.add_edge(d, kg_dog, "same as").unwrap();
-        g.add_edge(kg_dog, d, "same as").unwrap();
-        g
-    }
 
     fn queries(texts: &[&str]) -> Vec<QueryGraph> {
         let gen = QueryGraphGenerator::new();
@@ -311,64 +178,26 @@ mod tests {
     }
 
     #[test]
-    fn run_returns_answers_in_original_order() {
-        let g = graph();
-        let qs = queries(&[
-            "Does the cat appear in the car?",
-            "Does the dog appear in the car?",
-        ]);
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
-        assert_eq!(report.answers.len(), 2);
-        assert_eq!(report.answers[0], Ok(Answer::Judgment(false)));
-        assert_eq!(report.answers[1], Ok(Answer::Judgment(true)));
-        assert!(report.total >= report.per_query.iter().copied().max().unwrap_or_default() / 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let g = graph();
-        let qs = queries(&[
-            "Does the dog appear in the car?",
-            "Does the cat appear in the car?",
-            "How many dogs are in the car?",
-            "Does the dog appear in the car?",
-        ]);
-        let seq = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
-        let par = QueryScheduler::new(SchedulerConfig {
-            threads: 4,
-            ..SchedulerConfig::default()
-        })
-        .run(&g, &qs);
-        assert_eq!(seq.answers, par.answers);
-    }
-
-    #[test]
-    fn duplicate_queries_hit_the_cache() {
-        let g = graph();
-        let qs = queries(&[
-            "Does the dog appear in the car?",
-            "Does the dog appear in the car?",
-            "Does the dog appear in the car?",
-        ]);
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&g, &qs);
-        // Path hits short-circuit the whole query stage (scope lookups are
-        // skipped entirely on a hit), so repeats register as path hits.
-        let ph = report.cache_stats.path_hits;
-        assert!(ph >= 2, "path hits = {ph}");
-    }
-
-    #[test]
     fn fifo_mode_keeps_submission_order() {
         let qs = queries(&[
             "Does the cat appear in the car?",
             "Does the dog appear in the car?",
         ]);
-        let report = QueryScheduler::new(SchedulerConfig {
+        let fifo = QueryScheduler::new(SchedulerConfig {
             frequency_sort: false,
             ..SchedulerConfig::default()
-        })
-        .run(&graph(), &qs);
-        assert_eq!(report.order, vec![0, 1]);
+        });
+        assert_eq!(fifo.order_batch(&qs, None), vec![0, 1]);
+        // Where the frequency ordering runs the shared dog queries first,
+        // FIFO still keeps submission order.
+        let qs = queries(&[
+            "Does the cat appear in the car?",
+            "Does the dog appear in the car?",
+            "Does the dog appear in the car?",
+        ]);
+        let sorted = QueryScheduler::new(SchedulerConfig::default());
+        assert_eq!(sorted.order_batch(&qs, None), vec![1, 2, 0]);
+        assert_eq!(fifo.order_batch(&qs, None), vec![0, 1, 2]);
     }
 
     #[test]
@@ -386,31 +215,6 @@ mod tests {
         for w in order.windows(2) {
             assert!(scores[w[0]] >= scores[w[1]], "order={order:?} scores={scores:?}");
         }
-        // The report carries them through in original order.
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&graph(), &qs);
-        assert_eq!(report.scores, scores);
-    }
-
-    /// A caller-owned cache persists across batches: the second identical
-    /// batch is served from cache state seeded by the first, and each
-    /// report carries only its own delta.
-    #[test]
-    fn shared_cache_persists_across_batches() {
-        let g = graph();
-        let qs = queries(&["Does the dog appear in the car?"]);
-        let scheduler = QueryScheduler::new(SchedulerConfig::default());
-        let cache = scheduler.build_cache();
-        let first = scheduler.run_with_cache(&g, &qs, &cache);
-        assert_eq!(first.cache_stats.path_hits, 0);
-        assert!(first.cache_stats.path_misses > 0);
-        let second = scheduler.run_with_cache(&g, &qs, &cache);
-        assert!(
-            second.cache_stats.path_hits > 0,
-            "second batch must hit the persistent cache: {:?}",
-            second.cache_stats
-        );
-        assert_eq!(second.cache_stats.path_misses, 0);
-        assert_eq!(first.answers, second.answers);
     }
 
     /// Regression for the score sort: exact ties must keep submission
@@ -450,12 +254,5 @@ mod tests {
         let (order, scores) =
             QueryScheduler::order_with_scores_hinted(&mixed, Some(&[0.0, 9.0, 9.0]));
         assert_eq!(*order.last().unwrap(), 0, "order={order:?} scores={scores:?}");
-    }
-
-    #[test]
-    fn empty_batch() {
-        let report = QueryScheduler::new(SchedulerConfig::default()).run(&graph(), &[]);
-        assert!(report.answers.is_empty());
-        assert!(report.order.is_empty());
     }
 }

@@ -89,13 +89,13 @@ pub mod counter {
     pub const QUESTIONS_FAILED: &str = "questions_failed";
     /// Scene graphs generated at build time.
     pub const SCENE_GRAPHS_BUILT: &str = "scene_graphs_built";
-    /// Scope-cache hits observed by finished batches.
+    /// Scope-cache hits, counted at every lookup.
     pub const CACHE_SCOPE_HITS: &str = "cache_scope_hits";
-    /// Scope-cache misses observed by finished batches.
+    /// Scope-cache misses, counted at every lookup.
     pub const CACHE_SCOPE_MISSES: &str = "cache_scope_misses";
-    /// Path-cache hits observed by finished batches.
+    /// Path-cache hits, counted at every lookup.
     pub const CACHE_PATH_HITS: &str = "cache_path_hits";
-    /// Path-cache misses observed by finished batches.
+    /// Path-cache misses, counted at every lookup.
     pub const CACHE_PATH_MISSES: &str = "cache_path_misses";
     /// Requests accepted by the query server (`svqa serve`).
     pub const SERVER_REQUESTS: &str = "server_requests";
@@ -198,14 +198,6 @@ impl CacheStats {
             path_hits: self.path_hits.saturating_sub(earlier.path_hits),
             path_misses: self.path_misses.saturating_sub(earlier.path_misses),
         }
-    }
-
-    /// Push these counters into `recorder` as cache counter increments.
-    pub fn record_to(&self, recorder: &Recorder) {
-        recorder.incr_counter_by(counter::CACHE_SCOPE_HITS, self.scope_hits);
-        recorder.incr_counter_by(counter::CACHE_SCOPE_MISSES, self.scope_misses);
-        recorder.incr_counter_by(counter::CACHE_PATH_HITS, self.path_hits);
-        recorder.incr_counter_by(counter::CACHE_PATH_MISSES, self.path_misses);
     }
 }
 

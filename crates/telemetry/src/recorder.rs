@@ -201,13 +201,10 @@ mod tests {
     #[test]
     fn snapshot_folds_cache_counters() {
         let r = Recorder::new();
-        CacheStats {
-            scope_hits: 6,
-            scope_misses: 2,
-            path_hits: 1,
-            path_misses: 1,
-        }
-        .record_to(&r);
+        r.incr_counter_by(counter::CACHE_SCOPE_HITS, 6);
+        r.incr_counter_by(counter::CACHE_SCOPE_MISSES, 2);
+        r.incr_counter_by(counter::CACHE_PATH_HITS, 1);
+        r.incr_counter_by(counter::CACHE_PATH_MISSES, 1);
         let snap = r.snapshot();
         assert_eq!(snap.cache.stats.scope_hits, 6);
         assert!((snap.cache.scope_hit_rate - 0.75).abs() < 1e-12);

@@ -70,8 +70,10 @@ pub struct QueryTrace {
     pub question: String,
     /// Stage timings in execution order.
     pub stages: Vec<StageTiming>,
-    /// Cache traffic attributed to this question (batch-level counters
-    /// may be apportioned, so treat as approximate under concurrency).
+    /// The cache traffic this question produced: the shared cache's
+    /// counters after its run minus before, in a batch as for a single
+    /// question. Concurrent users of the same cache (other serve workers)
+    /// add their lookups to the delta.
     pub cache: CacheStats,
     /// Terminal state.
     pub outcome: QueryOutcome,

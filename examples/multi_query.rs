@@ -2,15 +2,14 @@
 //!
 //! Runs a batch of questions through the §V-B optimized scheduler and
 //! prints the frequency-sorted execution order, cache statistics, and the
-//! latency difference against an uncached FIFO run.
+//! latency difference against an uncached run.
 //!
 //! ```text
 //! cargo run -p svqa --example multi_query --release
 //! ```
 
-use std::time::Instant;
-use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
-use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
+use svqa::executor::cache::ShardedCache;
+use svqa::executor::scheduler::QueryScheduler;
 use svqa::qparser::QueryGraphGenerator;
 use svqa::{Svqa, SvqaConfig};
 use svqa_dataset::Mvqa;
@@ -42,24 +41,12 @@ fn main() {
         &order[..order.len().min(10)]
     );
 
-    // Uncached FIFO vs cached frequency-sorted.
-    let run = |granularity, frequency_sort| {
-        let scheduler = QueryScheduler::new(SchedulerConfig {
-            granularity,
-            policy: EvictionPolicy::Lfu,
-            pool_size: 100,
-            frequency_sort,
-            ..SchedulerConfig::default()
-        });
-        let t0 = Instant::now();
-        let report = scheduler.run(system.merged_graph(), &graphs);
-        (t0.elapsed(), report)
-    };
-
-    let (t_plain, _) = run(CacheGranularity::None, false);
-    let (t_cached, report) = run(CacheGranularity::Both, true);
-    let stats = report.cache_stats;
-    println!("\nno cache, FIFO order:          {t_plain:?}");
+    // Uncached vs cached, both in the scheduler's order.
+    let plain = system.answer_batch_cached(&questions, &ShardedCache::disabled());
+    let cached = system.answer_batch(&questions);
+    let (t_plain, t_cached) = (plain.total, cached.total);
+    let stats = cached.cache_stats;
+    println!("\nno cache:                      {t_plain:?}");
     println!("key-centric cache + schedule:  {t_cached:?}");
     println!(
         "reduction: {:.1}%  (paper reports ≈48.9%)",
@@ -72,18 +59,5 @@ fn main() {
         stats.path_hits,
         stats.path_misses,
         stats.hit_rate() * 100.0
-    );
-
-    // Parallel execution ("we parallelize our algorithm").
-    let par = QueryScheduler::new(SchedulerConfig {
-        threads: 4,
-        ..SchedulerConfig::default()
-    });
-    let t0 = Instant::now();
-    let preport = par.run(system.merged_graph(), &graphs);
-    println!(
-        "\n4-thread parallel run:         {:?} ({} answers)",
-        t0.elapsed(),
-        preport.answers.len()
     );
 }

@@ -98,32 +98,21 @@ fn empty_image_set_is_knowledge_only() {
 
 #[test]
 fn tiny_cache_pool_never_corrupts_answers() {
-    use svqa::executor::cache::{CacheGranularity, EvictionPolicy};
-    use svqa::executor::scheduler::{QueryScheduler, SchedulerConfig};
-    use svqa::qparser::QueryGraphGenerator;
+    use svqa::executor::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
 
     let mvqa = mvqa();
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let generator = QueryGraphGenerator::new();
-    let graphs: Vec<_> = mvqa
+    let questions: Vec<&str> = mvqa
         .questions
         .iter()
         .take(30)
-        .filter_map(|q| generator.generate(&q.question).ok())
+        .map(|q| q.question.as_str())
         .collect();
-    let baseline = QueryScheduler::new(SchedulerConfig {
-        granularity: CacheGranularity::None,
-        ..SchedulerConfig::default()
-    })
-    .run(system.merged_graph(), &graphs);
+    let baseline = system.answer_batch_cached(&questions, &ShardedCache::disabled());
     // A pathological pool of 1 item thrashes constantly but must stay
     // correct.
-    let thrashing = QueryScheduler::new(SchedulerConfig {
-        granularity: CacheGranularity::Both,
-        policy: EvictionPolicy::Lfu,
-        pool_size: 1,
-        ..SchedulerConfig::default()
-    })
-    .run(system.merged_graph(), &graphs);
+    let tiny = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 1, 8);
+    let thrashing = system.answer_batch_cached(&questions, &tiny);
+    assert!(thrashing.cache_stats.total_lookups() > 0);
     assert_eq!(baseline.answers, thrashing.answers);
 }

@@ -1,20 +1,31 @@
 //! Chaos integration tests: deterministic fault injection end-to-end.
 //!
-//! Each test installs a seeded [`FaultPlan`] (the guard serializes
-//! installers process-wide, so tests never see each other's plans) and
-//! checks the degradation contract: requests complete, degraded answers
-//! are labeled and counted, circuit breakers open and recover, and the
-//! same seed reproduces the identical fault sequence.
+//! Each test installs a seeded [`FaultPlan`] and checks the degradation
+//! contract: requests complete, degraded answers are labeled and counted,
+//! circuit breakers open and recover, and the same seed reproduces the
+//! identical fault sequence.
+//!
+//! A plan is process-global and so are the counters, so every test holds
+//! one file-wide lock ([`serial`]) from start to server shutdown. Holding
+//! the plan's guard alone is not enough: a test that keeps answering after
+//! dropping it would otherwise run into the next test's plan, or bump the
+//! counters inside another test's window.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use svqa::dataset::Mvqa;
 use svqa::fault::{self, BreakerState, FaultKind, FaultPlan, Source, SiteFault};
 use svqa::telemetry::counter;
 use svqa::{QueryServer, ServeConfig, Svqa, SvqaConfig};
+
+/// The file-wide lock every test holds for its whole run.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn counter_value(name: &str) -> u64 {
     svqa::telemetry::global()
@@ -71,6 +82,7 @@ fn shutdown_and_join(addr: SocketAddr, handle: JoinHandle<std::io::Result<()>>) 
 
 #[test]
 fn ten_percent_kg_chaos_degrades_deterministically_and_is_counted() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(250, 77);
     // Breaker disabled: this test measures the pure per-question fault
     // sequence, not wall-clock breaker dynamics (covered below).
@@ -139,6 +151,7 @@ fn ten_percent_kg_chaos_degrades_deterministically_and_is_counted() {
 
 #[test]
 fn breaker_opens_after_consecutive_faults_and_recovers_via_half_open() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();
     config.degrade.breaker.failure_threshold = 2;
@@ -192,6 +205,7 @@ fn breaker_opens_after_consecutive_faults_and_recovers_via_half_open() {
 
 #[test]
 fn poisoned_questions_do_not_shrink_the_worker_pool() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let (addr, handle) = start_server(
@@ -240,6 +254,7 @@ fn poisoned_questions_do_not_shrink_the_worker_pool() {
 
 #[test]
 fn dropped_reply_is_a_500_not_a_hung_connection() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let (addr, handle) = start_server(system, ServeConfig::default());
@@ -261,6 +276,7 @@ fn dropped_reply_is_a_500_not_a_hung_connection() {
 
 #[test]
 fn all_sources_down_is_503_with_retry_after_then_healthz_recovers() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();
     // A long cooldown keeps the breakers observably Open while we assert.
@@ -309,6 +325,7 @@ fn all_sources_down_is_503_with_retry_after_then_healthz_recovers() {
 
 #[test]
 fn degraded_ask_response_is_labeled_over_http() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();
     config.degrade.breaker.failure_threshold = u32::MAX;
@@ -342,6 +359,7 @@ fn degraded_ask_response_is_labeled_over_http() {
 
 #[test]
 fn degraded_batch_answers_like_degraded_single_questions() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();
     config.degrade.breaker.failure_threshold = u32::MAX;
@@ -373,6 +391,7 @@ fn degraded_batch_answers_like_degraded_single_questions() {
 
 #[test]
 fn batch_with_the_kg_down_is_labeled_degraded_over_http() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let mut config = SvqaConfig::default();
     config.degrade.breaker.failure_threshold = u32::MAX;
@@ -406,6 +425,7 @@ fn batch_with_the_kg_down_is_labeled_degraded_over_http() {
 
 #[test]
 fn batch_with_every_source_down_is_503_with_retry_after() {
+    let _serial = serial();
     let mvqa = Mvqa::generate_small(60, 3);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
     let (addr, handle) = start_server(system, ServeConfig::default());
@@ -467,6 +487,7 @@ mod props {
             seed in 0u64..u64::MAX,
             rules in prop::collection::vec((0.0f64..0.6, 0u8..10, 0u64..50), 9),
         ) {
+            let _serial = serial();
             let (system, mvqa) = shared();
             let mut plan = FaultPlan::new(seed);
             for (site, (p, code, latency)) in fault::site::ALL.iter().zip(&rules) {

@@ -3,8 +3,8 @@
 //! registry in Prometheus text exposition format and `/profiles/recent`
 //! the actual profiles those requests produced.
 //!
-//! Both tests read process-global counters, so they hold one lock for
-//! their whole run: neither sees the other's traffic.
+//! Every test reads process-global counters, so each holds one lock for
+//! its whole run: none sees another's traffic.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -154,5 +154,29 @@ fn ask_parses_and_lints_its_question_once() {
             "{stage} span count"
         );
     }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn repeated_ask_counts_its_cache_hits() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mvqa = Mvqa::generate_small(60, 13);
+    let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    let (addr, handle) = start(system);
+
+    // The second /ask of a question finds its path in the server's cache,
+    // and the process-wide cache counters see that hit.
+    let before = snapshot(addr);
+    for _ in 0..2 {
+        let (head, body) = ask(addr, "Does the dog appear in the car?");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}\n{body}");
+    }
+    let after = snapshot(addr);
+    assert!(
+        after.cache.stats.path_hits > before.cache.stats.path_hits,
+        "before {:?}, after {:?}",
+        before.cache.stats,
+        after.cache.stats
+    );
     shutdown(addr, handle);
 }

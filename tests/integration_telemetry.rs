@@ -39,8 +39,8 @@ fn build_and_batch_record_every_stage() {
     assert_eq!(batch.traces[3].outcome, QueryOutcome::ParseError);
     assert!(batch.traces[3].stage_nanos(stage::MATCH).is_none());
 
-    // Cache counters: the batch total was pushed into the global recorder,
-    // and the identical repeated question guarantees path traffic.
+    // Cache counters: every lookup lands in the global recorder, and the
+    // identical repeated question guarantees path traffic.
     assert!(batch.cache_stats.total_lookups() > 0);
     assert!(batch.cache_stats.path_hits > 0, "{:?}", batch.cache_stats);
     assert!(
