@@ -66,7 +66,7 @@ fn main() -> ExitCode {
                  [--images N] [--seed S] [--out DIR] [--world DIR] [--metrics FILE] \
                  [--corpus FILE] [--explain] [--json] [--trace-out FILE] [--profile-out FILE] \
                  [--port N] [--workers N] [--queue-depth N] [--deadline-ms N] \
-                 [--cache-pool N] [--cache-shards N] [--fault-plan FILE] [--fault-seed S] \
+                 [--cache-pool N] [--fault-plan FILE] [--fault-seed S] \
                  [--rates R1,R2,...] [--verbose] [question]"
             );
             return ExitCode::FAILURE;
@@ -85,7 +85,7 @@ type AnyError = Box<dyn std::error::Error>;
 
 /// Flags that consume the following argument as their value. Anything else
 /// starting with `--` is a boolean switch (`--explain`, `--verbose`, …).
-const VALUE_FLAGS: [&str; 17] = [
+const VALUE_FLAGS: [&str; 16] = [
     "--images",
     "--seed",
     "--out",
@@ -99,7 +99,6 @@ const VALUE_FLAGS: [&str; 17] = [
     "--queue-depth",
     "--deadline-ms",
     "--cache-pool",
-    "--cache-shards",
     "--fault-plan",
     "--fault-seed",
     "--rates",
@@ -366,9 +365,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     if let Some(p) = flag(args, "--cache-pool") {
         config.scheduler.pool_size = p.parse()?;
     }
-    if let Some(s) = flag(args, "--cache-shards") {
-        config.scheduler.shards = s.parse()?;
-    }
 
     eprintln!("generating {images} images (seed {seed})...");
     let mvqa = Mvqa::generate(MvqaConfig {
@@ -550,11 +546,10 @@ fn cmd_repl(args: &[String]) -> Result<(), AnyError> {
     let (system, _) = build_world(images, seed);
     // A session-lived cache so repeat questions show up as hits in the
     // per-question summaries.
-    let cache = svqa::executor::ShardedCache::new(
+    let cache = svqa::executor::KeyCentricCache::new(
         svqa::executor::CacheGranularity::Both,
         svqa::executor::EvictionPolicy::Lfu,
         100,
-        4,
     );
     println!("ready — type a question (empty line to quit)");
     let stdin = std::io::stdin();

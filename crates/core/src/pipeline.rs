@@ -13,12 +13,12 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use svqa_fault::{BreakerState, Source};
 use svqa_aggregator::DataAggregator;
-use svqa_executor::cache::ShardedCache;
+use svqa_executor::cache::KeyCentricCache;
 use svqa_executor::executor::{QueryGraphExecutor, Run};
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_executor::{Answer, CacheStats, ExecutionProfile, Explanation};
 use svqa_graph::{binio, Graph};
-use svqa_qlint::{LintReport, Linter, Schema, Severity};
+use svqa_qlint::{LintConfig, LintReport, Linter, Schema, Severity};
 use svqa_qparser::{QueryGraph, QueryGraphGenerator};
 use svqa_telemetry::{counter, global, stage, QueryOutcome, QueryTrace, Span};
 use svqa_vision::prior::PairPrior;
@@ -248,7 +248,7 @@ impl Svqa {
         build_stats: BuildStats,
         config: SvqaConfig,
     ) -> Svqa {
-        let linter = Linter::new(Schema::extract(&merged));
+        let linter = linter(&merged, &config);
         let breakers = Breakers::new(&config.degrade);
         Svqa {
             config,
@@ -271,7 +271,7 @@ impl Svqa {
     /// of new link edges created.
     ///
     /// Note: callers running batches through the §V-B scheduler should
-    /// start a fresh [`svqa_executor::cache::ShardedCache`] afterwards —
+    /// start a fresh [`KeyCentricCache`] afterwards —
     /// cached scopes and paths predate the new evidence.
     pub fn add_images(&mut self, images: &[SyntheticImage]) -> usize {
         let link_label = self.config.aggregator.link_label.clone();
@@ -306,7 +306,7 @@ impl Svqa {
         self.build_stats.merge.links_created += links;
         // The new evidence may introduce categories/predicates the old
         // schema has never seen; re-extract so the linter stays truthful.
-        self.linter = Linter::new(Schema::extract(&self.merged));
+        self.linter = linter(&self.merged, &self.config);
         // Degraded views were built from the pre-ingestion graph; drop
         // them so the next guarded answer sees the new evidence.
         self.scene_view = OnceLock::new();
@@ -402,7 +402,7 @@ impl Svqa {
     pub fn answer_guarded(
         &self,
         question: &str,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
     ) -> Result<GuardedAnswer, SvqaError> {
         self.answer_with(question, cache, deadline).result
@@ -414,7 +414,7 @@ impl Svqa {
     pub fn answer_with(
         &self,
         question: &str,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
     ) -> Answered {
         self.answer_prepared(self.prepare(question), cache, deadline)
@@ -441,7 +441,7 @@ impl Svqa {
     pub fn answer_prepared(
         &self,
         prepared: Prepared,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
     ) -> Answered {
         let Prepared { query, mut trace } = prepared;
@@ -486,11 +486,11 @@ impl Svqa {
         &self,
         executor: &QueryGraphExecutor,
         gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
         deadline: Option<Instant>,
         trace: &mut QueryTrace,
     ) -> Result<Run, SvqaError> {
-        let before = cache.map(ShardedCache::stats);
+        let before = cache.map(KeyCentricCache::stats);
         let t0 = Instant::now();
         let run = execute_with_retry(&self.config.degrade.retry, deadline, || {
             executor.run(gq, cache)
@@ -586,7 +586,7 @@ impl Svqa {
     /// Answer a batch with the §V-B optimized scheduler (frequency-sorted
     /// order, shared key-centric cache). Each call starts from a cold
     /// cache; long-lived callers (the query server) should hold a
-    /// [`ShardedCache`] and use [`answer_batch_with`](Self::answer_batch_with)
+    /// [`KeyCentricCache`] and use [`answer_batch_with`](Self::answer_batch_with)
     /// so hits carry over between batches.
     pub fn answer_batch(&self, questions: &[&str]) -> BatchOutcome {
         let cache = QueryScheduler::new(self.config.scheduler).build_cache();
@@ -595,7 +595,7 @@ impl Svqa {
 
     /// [`answer_batch`](Self::answer_batch) against a caller-provided
     /// persistent cache, with no deadline.
-    pub fn answer_batch_cached(&self, questions: &[&str], cache: &ShardedCache) -> BatchOutcome {
+    pub fn answer_batch_cached(&self, questions: &[&str], cache: &KeyCentricCache) -> BatchOutcome {
         self.answer_batch_with(questions, cache, None)
     }
 
@@ -610,7 +610,7 @@ impl Svqa {
     pub fn answer_batch_with(
         &self,
         questions: &[&str],
-        cache: &ShardedCache,
+        cache: &KeyCentricCache,
         deadline: Option<Instant>,
     ) -> BatchOutcome {
         let start = Instant::now();
@@ -718,6 +718,19 @@ fn at(path: &Path) -> impl FnOnce(io::Error) -> io::Error + '_ {
 /// An invalid-data error about the file at `path`.
 fn invalid(path: &Path, e: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+}
+
+/// The linter over `merged`'s schema, with the matching thresholds the
+/// executor runs under, so lint accepts what execution would match.
+fn linter(merged: &Graph, config: &SvqaConfig) -> Linter {
+    let executor = &config.executor;
+    let lint = LintConfig {
+        lev_threshold: executor.lev_threshold,
+        embed_threshold: executor.embed_threshold,
+        min_predicate_similarity: executor.min_predicate_similarity,
+        ..LintConfig::default()
+    };
+    Linter::with_config(Schema::extract(merged), lint)
 }
 
 /// Bump the global answered/failed counters for a finished question, and
@@ -941,8 +954,8 @@ mod tests {
         assert_eq!(summed, batch.cache_stats);
         // The fresh-cache traffic of this world's question set, pinned.
         let expected = CacheStats {
-            scope_hits: 128,
-            scope_misses: 49,
+            scope_hits: 130,
+            scope_misses: 47,
             path_hits: 60,
             path_misses: 50,
         };

@@ -34,11 +34,12 @@
 //!
 //! ## Cache persistence
 //!
-//! The server owns one [`ShardedCache`] built from the scheduler
-//! configuration and feeds it to every `/ask` and `/batch` — scopes and
-//! paths cached by one request accelerate all later ones, which is the
-//! §V-B key-centric cache doing its job across requests instead of only
-//! within a batch.
+//! The server owns one [`KeyCentricCache`] built from the scheduler
+//! configuration and lends it to every worker for every `/ask` and
+//! `/batch` — scopes and paths cached by one request accelerate all later
+//! ones, which is the §V-B key-centric cache doing its job across requests
+//! instead of only within a batch. It is the paper's single pool behind
+//! one lock: eviction picks the least-valuable entry of the whole pool.
 
 use crate::degrade::AnswerStatus;
 use crate::error::SvqaError;
@@ -51,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use svqa_executor::cache::ShardedCache;
+use svqa_executor::cache::KeyCentricCache;
 use svqa_executor::scheduler::QueryScheduler;
 use svqa_telemetry::router::{HttpServer, Request, Response, Router};
 use svqa_telemetry::{counter, gauge, global, global_profiles, metrics_routes};
@@ -177,7 +178,7 @@ impl<T> BoundedQueue<T> {
 pub struct QueryServer {
     system: Svqa,
     config: ServeConfig,
-    cache: ShardedCache,
+    cache: KeyCentricCache,
     http: HttpServer,
     queue: BoundedQueue<Job>,
     shutdown: AtomicBool,
@@ -187,7 +188,7 @@ pub struct QueryServer {
 impl QueryServer {
     /// Bind `addr` (port 0 picks a free port) over a built system. The
     /// persistent cache is shaped by `system.config().scheduler`
-    /// (granularity, policy, pool size, shards).
+    /// (granularity, policy, pool size).
     pub fn bind(system: Svqa, addr: &str, config: ServeConfig) -> io::Result<QueryServer> {
         let mut http = HttpServer::bind(addr)?;
         http.set_io_timeout(Some(config.io_timeout));
@@ -209,7 +210,7 @@ impl QueryServer {
     }
 
     /// The persistent cross-request cache (exposed for tests and stats).
-    pub fn cache(&self) -> &ShardedCache {
+    pub fn cache(&self) -> &KeyCentricCache {
         &self.cache
     }
 

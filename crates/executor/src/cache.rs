@@ -11,13 +11,14 @@
 //!
 //! The pool is bounded by a total *item count* (Fig. 11 sizes pools this
 //! way) shared across both kinds, with LFU (the paper's choice) or LRU
-//! eviction.
+//! eviction over every entry of either kind. One [`KeyCentricCache`] holds
+//! both kinds behind one lock and is shared by reference: a batch, a
+//! session, or every worker of the query server.
 
 use crate::matching::RelationPair;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use svqa_graph::VertexId;
 pub use svqa_telemetry::CacheStats;
@@ -103,16 +104,59 @@ impl<V> Pool<V> {
     }
 }
 
-/// The shared scope + path cache.
+/// Both pools and the clock that orders their uses: everything the cache's
+/// one lock guards.
+#[derive(Debug)]
+struct Pools {
+    scope: Pool<Arc<Vec<VertexId>>>,
+    path: Pool<Arc<Vec<RelationPair>>>,
+    tick: u64,
+}
+
+/// Which pool an operation addresses.
+type PoolOf<V> = fn(&mut Pools) -> &mut Pool<V>;
+
+impl Pools {
+    fn len(&self) -> usize {
+        self.scope.map.len() + self.path.map.len()
+    }
+
+    /// Evict until one slot is free, choosing the globally least-valuable
+    /// entry under the policy.
+    fn make_room(&mut self, policy: EvictionPolicy, pool_size: usize) {
+        while self.len() >= pool_size && self.len() > 0 {
+            let scope_cand = self.scope.eviction_candidate(policy);
+            let path_cand = self.path.eviction_candidate(policy);
+            let evict_scope = match (&scope_cand, &path_cand) {
+                (Some(s), Some(p)) => match policy {
+                    EvictionPolicy::Lfu => (s.1, s.2) <= (p.1, p.2),
+                    EvictionPolicy::Lru => (s.2, s.1) <= (p.2, p.1),
+                },
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => return,
+            };
+            if evict_scope {
+                let key = scope_cand.expect("checked above").0;
+                self.scope.map.remove(&key);
+            } else {
+                let key = path_cand.expect("checked above").0;
+                self.path.map.remove(&key);
+            }
+        }
+    }
+}
+
+/// The shared scope + path cache: the paper's one pool, behind one lock,
+/// so a single cache serves concurrent callers (the query server's
+/// workers) by reference.
 #[derive(Debug)]
 pub struct KeyCentricCache {
     granularity: CacheGranularity,
     policy: EvictionPolicy,
     /// Total item budget across both pools.
     pool_size: usize,
-    scope: Pool<Arc<Vec<VertexId>>>,
-    path: Pool<Arc<Vec<RelationPair>>>,
-    tick: u64,
+    pools: Mutex<Pools>,
 }
 
 impl KeyCentricCache {
@@ -122,9 +166,11 @@ impl KeyCentricCache {
             granularity,
             policy,
             pool_size,
-            scope: Pool::new((counter::CACHE_SCOPE_HITS, counter::CACHE_SCOPE_MISSES)),
-            path: Pool::new((counter::CACHE_PATH_HITS, counter::CACHE_PATH_MISSES)),
-            tick: 0,
+            pools: Mutex::new(Pools {
+                scope: Pool::new((counter::CACHE_SCOPE_HITS, counter::CACHE_SCOPE_MISSES)),
+                path: Pool::new((counter::CACHE_PATH_HITS, counter::CACHE_PATH_MISSES)),
+                tick: 0,
+            }),
         }
     }
 
@@ -147,252 +193,6 @@ impl KeyCentricCache {
         )
     }
 
-    /// Look up a scope item (cheap `Arc` clone — the vertex sets over a
-    /// 4,233-image merged graph run to tens of thousands of ids, and deep
-    /// copies on every hit would eat the savings).
-    pub fn scope_get(&mut self, key: &str) -> Option<Arc<Vec<VertexId>>> {
-        if !self.scope_enabled() {
-            return None;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.scope.get(key, tick).cloned()
-    }
-
-    /// Store a scope item. Overwriting an existing key updates the value
-    /// in place — preserving its LFU frequency history and evicting
-    /// nothing, since the pool does not grow.
-    pub fn scope_put(&mut self, key: &str, value: Arc<Vec<VertexId>>) {
-        if !self.scope_enabled() || self.pool_size == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.scope.map.get_mut(key) {
-            e.value = value;
-            e.last_used = tick;
-            return;
-        }
-        self.make_room();
-        self.scope.map.insert(
-            key.to_owned(),
-            Entry {
-                value,
-                freq: 1,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Look up a path item (cheap `Arc` clone).
-    pub fn path_get(&mut self, key: &str) -> Option<Arc<Vec<RelationPair>>> {
-        if !self.path_enabled() {
-            return None;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        self.path.get(key, tick).cloned()
-    }
-
-    /// Store a path item. Overwrites update in place (frequency preserved,
-    /// no eviction), exactly like [`scope_put`](Self::scope_put).
-    pub fn path_put(&mut self, key: &str, value: Arc<Vec<RelationPair>>) {
-        if !self.path_enabled() || self.pool_size == 0 {
-            return;
-        }
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.path.map.get_mut(key) {
-            e.value = value;
-            e.last_used = tick;
-            return;
-        }
-        self.make_room();
-        self.path.map.insert(
-            key.to_owned(),
-            Entry {
-                value,
-                freq: 1,
-                last_used: tick,
-            },
-        );
-    }
-
-    /// Evict until one slot is free, choosing the globally least-valuable
-    /// entry under the policy.
-    fn make_room(&mut self) {
-        while self.len() >= self.pool_size && !self.is_empty() {
-            let scope_cand = self.scope.eviction_candidate(self.policy);
-            let path_cand = self.path.eviction_candidate(self.policy);
-            let evict_scope = match (&scope_cand, &path_cand) {
-                (Some(s), Some(p)) => match self.policy {
-                    EvictionPolicy::Lfu => (s.1, s.2) <= (p.1, p.2),
-                    EvictionPolicy::Lru => (s.2, s.1) <= (p.2, p.1),
-                },
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return,
-            };
-            if evict_scope {
-                let key = scope_cand.expect("checked above").0;
-                self.scope.map.remove(&key);
-            } else {
-                let key = path_cand.expect("checked above").0;
-                self.path.map.remove(&key);
-            }
-        }
-    }
-
-    /// Items currently held (scope + path).
-    pub fn len(&self) -> usize {
-        self.scope.map.len() + self.path.map.len()
-    }
-
-    /// Whether the cache holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hit/miss counters for both pools since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            scope_hits: self.scope.hits,
-            scope_misses: self.scope.misses,
-            path_hits: self.path.hits,
-            path_misses: self.path.misses,
-        }
-    }
-
-    /// Approximate heap bytes held by cached values (a scope item is a
-    /// vertex-id vector; a path item a relation-pair vector — the paper
-    /// reports ≈6 KB and ≈96 KB per item on MVQA).
-    pub fn value_bytes(&self) -> usize {
-        let scope: usize = self
-            .scope
-            .map
-            .values()
-            .map(|e| e.value.len() * std::mem::size_of::<VertexId>())
-            .sum();
-        let path: usize = self
-            .path
-            .map
-            .values()
-            .map(|e| e.value.len() * std::mem::size_of::<RelationPair>())
-            .sum();
-        scope + path
-    }
-
-    /// The configured granularity.
-    pub fn granularity(&self) -> CacheGranularity {
-        self.granularity
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
-    }
-
-    /// The LFU frequency of a scope entry, without touching it (does not
-    /// count as a use and does not bump hit/miss counters). `None` when the
-    /// key is absent. Exposed so tests and cache introspection can verify
-    /// eviction history survives overwrites.
-    pub fn scope_frequency(&self, key: &str) -> Option<u64> {
-        self.scope.map.get(key).map(|e| e.freq)
-    }
-
-    /// The LFU frequency of a path entry, without touching it.
-    pub fn path_frequency(&self, key: &str) -> Option<u64> {
-        self.path.map.get(key).map(|e| e.freq)
-    }
-
-    /// The configured item budget.
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
-    }
-
-    /// Every key currently resident in either pool (scope first).
-    #[cfg(debug_assertions)]
-    fn resident_keys(&self) -> impl Iterator<Item = &str> {
-        self.scope
-            .map
-            .keys()
-            .chain(self.path.map.keys())
-            .map(String::as_str)
-    }
-}
-
-/// A key-hashed, shard-per-lock view of the key-centric cache.
-///
-/// The paper's single pool (§V-B) is kept per shard: keys are hashed to one
-/// of `N` shards, each holding its own [`KeyCentricCache`] behind its own
-/// mutex, with the total item budget split across shards. Callers see the
-/// same scope/path API as the single pool but with `&self` methods, so one
-/// long-lived `ShardedCache` can back the query service's concurrent
-/// workers without serializing every lookup on a single lock.
-///
-/// Stats are the merge of per-shard counters
-/// ([`CacheStats::merge`]); eviction stays shard-local, which approximates
-/// the paper's global LFU/LRU minimum (documented in DESIGN.md).
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Mutex<KeyCentricCache>>,
-    /// The caller's total item budget (what the shard budgets must sum to).
-    #[cfg(debug_assertions)]
-    pool_size: usize,
-}
-
-impl ShardedCache {
-    /// Build a sharded cache: `pool_size` items total, split as evenly as
-    /// possible across `shards` key-hashed shards (the first
-    /// `pool_size % shards` shards take the remainder). The shard count is
-    /// clamped to `max(1, min(shards, pool_size))` so no shard gets a zero
-    /// budget while the total budget is non-zero.
-    pub fn new(
-        granularity: CacheGranularity,
-        policy: EvictionPolicy,
-        pool_size: usize,
-        shards: usize,
-    ) -> Self {
-        let n = shards.min(pool_size).max(1);
-        let base = pool_size / n;
-        let remainder = pool_size % n;
-        let cache = ShardedCache {
-            shards: (0..n)
-                .map(|i| {
-                    let budget = base + usize::from(i < remainder);
-                    Mutex::new(KeyCentricCache::new(granularity, policy, budget))
-                })
-                .collect(),
-            #[cfg(debug_assertions)]
-            pool_size,
-        };
-        cache.debug_assert_invariants();
-        cache
-    }
-
-    /// A single-shard cache — the exact semantics of the paper's one pool,
-    /// behind the shared-handle API.
-    pub fn single(granularity: CacheGranularity, policy: EvictionPolicy, pool_size: usize) -> Self {
-        Self::new(granularity, policy, pool_size, 1)
-    }
-
-    /// A disabled cache (granularity `None`, zero budget).
-    pub fn disabled() -> Self {
-        Self::new(CacheGranularity::None, EvictionPolicy::Lfu, 0, 1)
-    }
-
-    fn shard_index(&self, key: &str) -> usize {
-        // SipHash with the default (fixed) keys: deterministic across runs,
-        // well-mixed across shards.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, key: &str) -> &Mutex<KeyCentricCache> {
-        &self.shards[self.shard_index(key)]
-    }
-
     /// Injection gate shared by the four cache entry points. Lookups and
     /// inserts are infallible, so `Error` and `DropResult` both degrade to
     /// "the cache did nothing" (forced miss / dropped insert); `Latency`
@@ -408,145 +208,97 @@ impl ShardedCache {
         }
     }
 
-    /// Look up a scope item in the key's shard.
+    /// The one lookup body: a use of `key` in the pool `pool` picks out.
+    fn get<V: Clone>(&self, enabled: bool, pool: PoolOf<V>, key: &str) -> Option<V> {
+        if Self::faulted(svqa_fault::site::CACHE_GET) || !enabled {
+            return None;
+        }
+        let mut pools = self.pools.lock();
+        pools.tick += 1;
+        let tick = pools.tick;
+        pool(&mut pools).get(key, tick).cloned()
+    }
+
+    /// The one insert body. Overwriting an existing key updates the value
+    /// in place — preserving its LFU frequency history and evicting
+    /// nothing, since the pool does not grow.
+    fn put<V>(&self, enabled: bool, pool: PoolOf<V>, key: &str, value: V) {
+        if Self::faulted(svqa_fault::site::CACHE_PUT) || !enabled || self.pool_size == 0 {
+            return;
+        }
+        let mut pools = self.pools.lock();
+        pools.tick += 1;
+        let tick = pools.tick;
+        if let Some(e) = pool(&mut pools).map.get_mut(key) {
+            e.value = value;
+            e.last_used = tick;
+            return;
+        }
+        pools.make_room(self.policy, self.pool_size);
+        pool(&mut pools).map.insert(
+            key.to_owned(),
+            Entry {
+                value,
+                freq: 1,
+                last_used: tick,
+            },
+        );
+    }
+
+    /// Look up a scope item (cheap `Arc` clone — the vertex sets over a
+    /// 4,233-image merged graph run to tens of thousands of ids, and deep
+    /// copies on every hit would eat the savings).
     pub fn scope_get(&self, key: &str) -> Option<Arc<Vec<VertexId>>> {
-        if Self::faulted(svqa_fault::site::CACHE_GET) {
-            return None;
-        }
-        self.shard(key).lock().scope_get(key)
+        self.get(self.scope_enabled(), |p| &mut p.scope, key)
     }
 
-    /// Store a scope item in the key's shard.
+    /// Store a scope item.
     pub fn scope_put(&self, key: &str, value: Arc<Vec<VertexId>>) {
-        if Self::faulted(svqa_fault::site::CACHE_PUT) {
-            return;
-        }
-        self.shard(key).lock().scope_put(key, value);
+        self.put(self.scope_enabled(), |p| &mut p.scope, key, value);
     }
 
-    /// Look up a path item in the key's shard.
+    /// Look up a path item (cheap `Arc` clone).
     pub fn path_get(&self, key: &str) -> Option<Arc<Vec<RelationPair>>> {
-        if Self::faulted(svqa_fault::site::CACHE_GET) {
-            return None;
-        }
-        self.shard(key).lock().path_get(key)
+        self.get(self.path_enabled(), |p| &mut p.path, key)
     }
 
-    /// Store a path item in the key's shard.
+    /// Store a path item.
     pub fn path_put(&self, key: &str, value: Arc<Vec<RelationPair>>) {
-        if Self::faulted(svqa_fault::site::CACHE_PUT) {
-            return;
-        }
-        self.shard(key).lock().path_put(key, value);
+        self.put(self.path_enabled(), |p| &mut p.path, key, value);
     }
 
-    /// Hit/miss counters merged across all shards.
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::new();
-        for shard in &self.shards {
-            total.merge(&shard.lock().stats());
-        }
-        total
-    }
-
-    /// Items currently held across all shards.
+    /// Items currently held (scope + path).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.pools.lock().len()
     }
 
-    /// Whether every shard is empty.
+    /// Whether the cache holds no items.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Approximate heap bytes held by cached values, across all shards.
-    pub fn value_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().value_bytes()).sum()
+    /// Hit/miss counters for both pools since construction.
+    pub fn stats(&self) -> CacheStats {
+        let pools = self.pools.lock();
+        CacheStats {
+            scope_hits: pools.scope.hits,
+            scope_misses: pools.scope.misses,
+            path_hits: pools.path.hits,
+            path_misses: pools.path.misses,
+        }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The LFU frequency of a scope entry (non-touching; see
-    /// [`KeyCentricCache::scope_frequency`]).
+    /// The LFU frequency of a scope entry, without touching it (does not
+    /// count as a use and does not bump hit/miss counters). `None` when the
+    /// key is absent. Exposed so tests and cache introspection can verify
+    /// eviction history survives overwrites.
     pub fn scope_frequency(&self, key: &str) -> Option<u64> {
-        self.shard(key).lock().scope_frequency(key)
+        self.pools.lock().scope.map.get(key).map(|e| e.freq)
     }
 
-    /// The LFU frequency of a path entry (non-touching).
+    /// The LFU frequency of a path entry, without touching it.
     pub fn path_frequency(&self, key: &str) -> Option<u64> {
-        self.shard(key).lock().path_frequency(key)
-    }
-
-    /// Run the [`invariants`] suite. Compiles to a no-op in release builds;
-    /// under `debug_assertions` a violation panics with the broken
-    /// invariant. Called at construction and by the property tests after
-    /// every mutation.
-    pub fn debug_assert_invariants(&self) {
-        #[cfg(debug_assertions)]
-        invariants::check(self);
-    }
-}
-
-/// Debug-assertions invariants for [`ShardedCache`] — the structural
-/// properties the sharding layer must preserve over the paper's single
-/// pool, checked exhaustively in debug builds (proptests run them after
-/// every operation) and compiled out of release binaries.
-#[cfg(debug_assertions)]
-mod invariants {
-    use super::ShardedCache;
-
-    /// All invariants, in one sweep over the shards.
-    pub(super) fn check(cache: &ShardedCache) {
-        budget_conserved(cache);
-        no_cross_shard_leakage(cache);
-    }
-
-    /// The per-shard budgets sum exactly to the configured pool size, no
-    /// shard has a zero budget while the pool is non-empty, and no shard
-    /// holds more items than its own budget (so the global `len() ≤
-    /// pool_size` bound follows shard-locally).
-    fn budget_conserved(cache: &ShardedCache) {
-        let mut total_budget = 0;
-        for (i, shard) in cache.shards.iter().enumerate() {
-            let shard = shard.lock();
-            assert!(
-                cache.pool_size == 0 || shard.pool_size() > 0,
-                "shard {i} has a zero budget inside a pool of {}",
-                cache.pool_size
-            );
-            assert!(
-                shard.len() <= shard.pool_size(),
-                "shard {i} holds {} items over its budget of {}",
-                shard.len(),
-                shard.pool_size()
-            );
-            total_budget += shard.pool_size();
-        }
-        assert_eq!(
-            total_budget, cache.pool_size,
-            "shard budgets sum to {total_budget}, configured pool is {}",
-            cache.pool_size
-        );
-    }
-
-    /// Every resident key hashes back to the shard that holds it: routing
-    /// is a function of the key alone, so a key can never be resident in
-    /// two shards at once (no stale aliases after eviction/overwrite).
-    fn no_cross_shard_leakage(cache: &ShardedCache) {
-        for (i, shard) in cache.shards.iter().enumerate() {
-            let shard = shard.lock();
-            for key in shard.resident_keys() {
-                assert_eq!(
-                    cache.shard_index(key),
-                    i,
-                    "key {key:?} resident in shard {i} but routes to shard {}",
-                    cache.shard_index(key)
-                );
-            }
-        }
+        self.pools.lock().path.map.get(key).map(|e| e.freq)
     }
 }
 
@@ -560,28 +312,32 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_stores() {
-        let mut c = KeyCentricCache::disabled();
+        let c = KeyCentricCache::disabled();
         c.scope_put("dog", Arc::new(vec![vid(1)]));
         c.path_put("dog|car", Arc::new(vec![]));
         assert!(c.is_empty());
         assert_eq!(c.scope_get("dog"), None);
+        assert_eq!(c.path_get("dog|car"), None);
     }
 
     #[test]
     fn scope_roundtrip_and_stats() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 10);
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 10);
         assert_eq!(c.scope_get("dog"), None); // miss
         c.scope_put("dog", Arc::new(vec![vid(1), vid(2)]));
         assert_eq!(c.scope_get("dog"), Some(Arc::new(vec![vid(1), vid(2)]))); // hit
+        c.path_put("dog|car", Arc::new(vec![]));
+        assert!(c.path_get("dog|car").is_some());
+        assert_eq!(c.len(), 2);
         let stats = c.stats();
         assert_eq!((stats.scope_hits, stats.scope_misses), (1, 1));
+        assert_eq!((stats.path_hits, stats.path_misses), (1, 0));
         assert!((stats.scope_hit_rate() - 0.5).abs() < 1e-12);
-        assert!(c.value_bytes() > 0);
     }
 
     #[test]
     fn granularity_scope_only() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10);
         c.scope_put("dog", Arc::new(vec![vid(1)]));
         c.path_put("k", Arc::new(vec![]));
         assert_eq!(c.len(), 1);
@@ -591,7 +347,7 @@ mod tests {
 
     #[test]
     fn lfu_evicts_least_frequent() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         c.scope_put("b", Arc::new(vec![vid(2)]));
         // Touch "a" twice so "b" is least frequent.
@@ -605,7 +361,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 2);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 2);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         c.scope_put("b", Arc::new(vec![vid(2)]));
         // "a" used many times long ago; "b" used once, recently.
@@ -620,7 +376,7 @@ mod tests {
 
     #[test]
     fn shared_budget_across_pools() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         c.path_put("p", Arc::new(vec![]));
         assert_eq!(c.len(), 2);
@@ -630,14 +386,14 @@ mod tests {
 
     #[test]
     fn zero_pool_accepts_nothing() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 0);
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 0);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         assert!(c.is_empty());
     }
 
     #[test]
     fn overwrite_same_key_keeps_len() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 5);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 5);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         c.scope_put("a", Arc::new(vec![vid(2)]));
         assert_eq!(c.len(), 1);
@@ -649,7 +405,7 @@ mod tests {
     /// not growing.
     #[test]
     fn overwrite_in_full_cache_evicts_nothing() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 2);
         c.scope_put("a", Arc::new(vec![vid(1)]));
         c.path_put("p", Arc::new(vec![]));
         assert_eq!(c.len(), 2); // full
@@ -664,7 +420,7 @@ mod tests {
     /// LFU history that decides the next eviction.
     #[test]
     fn overwrite_preserves_lfu_history() {
-        let mut c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
+        let c = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2);
         c.scope_put("hot", Arc::new(vec![vid(1)]));
         c.scope_get("hot");
         c.scope_get("hot"); // freq 3
@@ -677,42 +433,36 @@ mod tests {
         assert!(c.scope_frequency("cold").is_none());
     }
 
+    /// Threads share one cache by reference: the pool stays within its
+    /// budget, every hit returns the value stored under its key, and the
+    /// stats count every lookup exactly once.
     #[test]
-    fn sharded_cache_roundtrip_and_merged_stats() {
-        let c = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
-        assert_eq!(c.shard_count(), 4);
-        assert_eq!(c.scope_get("dog"), None); // miss
-        c.scope_put("dog", Arc::new(vec![vid(1)]));
-        c.path_put("dog|car", Arc::new(vec![]));
-        assert_eq!(c.scope_get("dog"), Some(Arc::new(vec![vid(1)])));
-        assert!(c.path_get("dog|car").is_some());
-        assert_eq!(c.len(), 2);
-        assert!(c.value_bytes() > 0);
+    fn concurrent_callers_share_one_pool() {
+        const THREADS: usize = 4;
+        const GETS: usize = 500;
+        let c = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 8);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let c = &c;
+                scope.spawn(move || {
+                    for i in 0..GETS {
+                        let k = (i * 7 + t * 3) % 20;
+                        if i % 2 == 0 {
+                            if let Some(hit) = c.scope_get(&format!("s{k}")) {
+                                assert_eq!(hit.as_slice(), [vid(k)]);
+                            }
+                            c.scope_put(&format!("s{k}"), Arc::new(vec![vid(k)]));
+                        } else {
+                            c.path_get(&format!("p{k}"));
+                            c.path_put(&format!("p{k}"), Arc::new(vec![]));
+                        }
+                    }
+                });
+            }
+        });
+        assert!(c.len() <= 8, "len {} exceeds the pool", c.len());
         let stats = c.stats();
-        assert_eq!((stats.scope_hits, stats.scope_misses), (1, 1));
-        assert_eq!((stats.path_hits, stats.path_misses), (1, 0));
-    }
-
-    #[test]
-    fn sharded_cache_budget_split_covers_pool_size() {
-        // 10 items over 4 shards: budgets 3,3,2,2 — total exactly 10.
-        let c = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 10, 4);
-        for i in 0..100 {
-            c.scope_put(&format!("k{i}"), Arc::new(vec![vid(i)]));
-        }
-        assert!(c.len() <= 10, "len {} exceeds total budget", c.len());
-        // Shard count clamps so no shard gets a zero budget.
-        let tiny = ShardedCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 2, 8);
-        assert_eq!(tiny.shard_count(), 2);
-        tiny.scope_put("a", Arc::new(vec![vid(1)]));
-        assert_eq!(tiny.len(), 1);
-    }
-
-    #[test]
-    fn sharded_disabled_accepts_nothing() {
-        let c = ShardedCache::disabled();
-        c.scope_put("a", Arc::new(vec![vid(1)]));
-        assert!(c.is_empty());
-        assert_eq!(c.scope_get("a"), None);
+        assert_eq!(stats.total_lookups(), (THREADS * GETS) as u64);
+        assert!(stats.total_hits() > 0, "{stats:?}");
     }
 }

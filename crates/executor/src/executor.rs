@@ -14,7 +14,7 @@
 //!   count of scene instances, or ranked entity labels).
 
 use crate::answer::Answer;
-use crate::cache::ShardedCache;
+use crate::cache::KeyCentricCache;
 use crate::matching::{MatchMethod, RelationPair, VertexMatcher};
 use crate::words::Constraint;
 use serde::{Deserialize, Serialize};
@@ -207,8 +207,6 @@ pub struct QueryGraphExecutor<'g> {
     graph: &'g Graph,
     matcher: VertexMatcher<'g>,
     config: ExecutorConfig,
-    /// `T ← getLabels(E_mg)` (Algorithm 3 line 2), computed once.
-    edge_labels: Vec<String>,
 }
 
 impl<'g> QueryGraphExecutor<'g> {
@@ -222,16 +220,10 @@ impl<'g> QueryGraphExecutor<'g> {
         let mut matcher = VertexMatcher::new(graph);
         matcher.lev_threshold = config.lev_threshold;
         matcher.embed_threshold = config.embed_threshold;
-        let mut edge_labels: Vec<String> = graph
-            .edge_label_counts()
-            .map(|(l, _)| l.to_owned())
-            .collect();
-        edge_labels.sort();
         QueryGraphExecutor {
             graph,
             matcher,
             config,
-            edge_labels,
         }
     }
 
@@ -240,14 +232,13 @@ impl<'g> QueryGraphExecutor<'g> {
     pub fn execute_cached(
         &self,
         gq: &QueryGraph,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
     ) -> Result<(Answer, Vec<VertexTrace>), ExecError> {
         self.run(gq, cache).map(|run| (run.answer, run.traces))
     }
 
-    /// The Algorithm 3 main loop, with an optional shared key-centric
-    /// cache (sharded, so parallel callers do not serialize on one lock).
-    pub fn run(&self, gq: &QueryGraph, cache: Option<&ShardedCache>) -> Result<Run, ExecError> {
+    /// The Algorithm 3 main loop, with an optional shared key-centric cache.
+    pub fn run(&self, gq: &QueryGraph, cache: Option<&KeyCentricCache>) -> Result<Run, ExecError> {
         let _span = svqa_telemetry::Span::enter(svqa_telemetry::stage::MATCH);
         let run_start = Instant::now();
         if gq.is_empty() {
@@ -417,7 +408,7 @@ impl<'g> QueryGraphExecutor<'g> {
         &self,
         np: &NounPhrase,
         binding: Option<&[VertexId]>,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
     ) -> (Option<Arc<Vec<VertexId>>>, SlotTrace) {
         if let Some(bound) = binding {
             let expanded = self.matcher.expand_semantic(bound);
@@ -538,11 +529,6 @@ impl<'g> QueryGraphExecutor<'g> {
         let mut ranked: Vec<(&str, usize)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         ranked.into_iter().map(|(l, _)| l.to_owned()).collect()
-    }
-
-    /// The edge-label inventory `T` of the merged graph.
-    pub fn edge_labels(&self) -> &[String] {
-        &self.edge_labels
     }
 }
 
@@ -747,7 +733,7 @@ mod tests {
             "What kind of clothes are worn by the wizard?",
             "Does the wizard appear near Harry Potter's girlfriend?",
         ];
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let mut cached_answers = Vec::new();
         for q in &questions {
             let gq = gen.generate(q).unwrap();

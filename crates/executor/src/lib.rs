@@ -13,8 +13,8 @@
 //!   §V: "corresponding to answers in the form of a number, an entity, and
 //!   a judgment word");
 //! * [`cache`] — the key-centric cache of §V-B: *scope* items (vertex match
-//!   sets) and *path* items (relation-pair sets), bounded pools with LFU or
-//!   LRU eviction;
+//!   sets) and *path* items (relation-pair sets) in one bounded pool with
+//!   LFU or LRU eviction, shared by reference behind one lock;
 //! * [`scheduler`] — optimized multi-query scheduling: frequency-ratio
 //!   scoring and the descending execution order of a batch, plus the
 //!   shared cache a batch runs against (batches themselves run through the
@@ -37,7 +37,7 @@ pub mod scheduler;
 pub mod words;
 
 pub use answer::Answer;
-pub use cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache, ShardedCache};
+pub use cache::{CacheGranularity, CacheStats, EvictionPolicy, KeyCentricCache};
 pub use executor::{
     CacheOutcome, ExecError, ExecutorConfig, QueryGraphExecutor, Run, SlotSource, SlotTrace,
     VertexTrace,

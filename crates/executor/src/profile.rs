@@ -283,7 +283,7 @@ fn fmt_ns(ns: u64) -> String {
 mod tests {
     use super::*;
     use crate::answer::Answer;
-    use crate::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
+    use crate::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
     use crate::executor::QueryGraphExecutor;
     use svqa_graph::{Graph, GraphBuilder};
     use svqa_qparser::QueryGraphGenerator;
@@ -306,10 +306,10 @@ mod tests {
     fn profiled(
         g: &Graph,
         question: &str,
-        cache: Option<&ShardedCache>,
+        cache: Option<&KeyCentricCache>,
     ) -> (Answer, ExecutionProfile) {
         let gq = QueryGraphGenerator::new().generate(question).unwrap();
-        let before = cache.map(ShardedCache::stats).unwrap_or_default();
+        let before = cache.map(KeyCentricCache::stats).unwrap_or_default();
         let run = QueryGraphExecutor::new(g).run(&gq, cache).unwrap();
         let mut upstream = QueryTrace::new(question);
         if let Some(c) = cache {
@@ -343,7 +343,7 @@ mod tests {
     #[test]
     fn cache_outcomes_flip_from_miss_to_hit() {
         let g = graph();
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let (cold_answer, cold) = profiled(&g, "Does the dog appear in the car?", Some(&cache));
         assert_eq!(cold.quads[0].trace.path_cache, CacheOutcome::Miss);
         assert!(cold.cache.path_misses > 0);
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn render_tree_shows_counts_cache_and_timing() {
         let g = graph();
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
         let (_, profile) = profiled(&g, "Does the dog appear in the car?", Some(&cache));
         let text = profile.render_tree();
         assert!(text.contains("EXPLAIN ANALYZE"), "{text}");

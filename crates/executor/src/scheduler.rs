@@ -8,7 +8,7 @@
 //! builds its cache; the batch itself runs one question at a time through
 //! the pipeline's answer path (`Svqa::answer_batch_with`).
 
-use crate::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
+use crate::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 use std::collections::HashMap;
 use svqa_qparser::QueryGraph;
 
@@ -21,10 +21,6 @@ pub struct SchedulerConfig {
     pub policy: EvictionPolicy,
     /// Cache pool size in items (Fig. 11).
     pub pool_size: usize,
-    /// Cache shards: the pool is split across this many key-hashed shards,
-    /// each behind its own lock, so concurrent callers (the query server's
-    /// workers) don't serialize on a single cache mutex.
-    pub shards: usize,
     /// Whether to apply the frequency-ratio ordering (ablation switch; off
     /// = FIFO order).
     pub frequency_sort: bool,
@@ -36,7 +32,6 @@ impl Default for SchedulerConfig {
             granularity: CacheGranularity::Both,
             policy: EvictionPolicy::Lfu,
             pool_size: 100,
-            shards: 8,
             frequency_sort: true,
         }
     }
@@ -134,15 +129,14 @@ impl QueryScheduler {
         }
     }
 
-    /// Build the sharded cache this scheduler's configuration describes —
-    /// what a batch uses, and what a long-lived caller (the query service)
+    /// Build the cache this scheduler's configuration describes — what a
+    /// batch uses, and what a long-lived caller (the query service)
     /// constructs once and feeds to every batch.
-    pub fn build_cache(&self) -> ShardedCache {
-        ShardedCache::new(
+    pub fn build_cache(&self) -> KeyCentricCache {
+        KeyCentricCache::new(
             self.config.granularity,
             self.config.policy,
             self.config.pool_size,
-            self.config.shards,
         )
     }
 }
@@ -230,6 +224,31 @@ mod tests {
             let (order, scores) = QueryScheduler::order_with_scores(&qs);
             assert_eq!(order, vec![0, 1, 2]);
             assert!(scores.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-12));
+        }
+    }
+
+    /// The cache a scheduler builds is the paper's one pool: a full pool
+    /// evicts the least-frequent entry among everything it holds, whatever
+    /// the newcomer's key.
+    #[test]
+    fn build_cache_evicts_the_global_least_frequent_entry() {
+        let cache = QueryScheduler::new(SchedulerConfig {
+            pool_size: 4,
+            ..SchedulerConfig::default()
+        })
+        .build_cache();
+        let value = || std::sync::Arc::new(Vec::new());
+        for key in ["a", "b", "c", "d"] {
+            cache.scope_put(key, value());
+        }
+        for key in ["a", "b", "c"] {
+            assert!(cache.scope_get(key).is_some());
+        }
+        cache.scope_put("e", value());
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.scope_frequency("d"), None, "d was the least frequent");
+        for key in ["a", "b", "c", "e"] {
+            assert!(cache.scope_frequency(key).is_some(), "{key} wrongly evicted");
         }
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use proptest::prelude::*;
-use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache, ShardedCache};
+use svqa_executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 use svqa_executor::executor::QueryGraphExecutor;
 use svqa_executor::matching::VertexMatcher;
 use svqa_executor::Answer;
@@ -36,7 +36,7 @@ proptest! {
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let mut cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
         for op in ops {
             match op {
                 Op::ScopeGet(k) => { cache.scope_get(&format!("s{k}")); }
@@ -48,8 +48,6 @@ proptest! {
             }
             prop_assert!(cache.len() <= pool, "len {} > pool {}", cache.len(), pool);
         }
-        // Value accounting never goes negative/overflows.
-        let _ = cache.value_bytes();
     }
 
     #[test]
@@ -57,7 +55,7 @@ proptest! {
         key in 0u8..8,
         values in proptest::collection::vec(0u8..32, 1..10),
     ) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 64);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, 64);
         let k = format!("s{key}");
         let mut last = None;
         for v in values {
@@ -70,7 +68,7 @@ proptest! {
 
     #[test]
     fn disabled_granularities_store_nothing(keys in proptest::collection::vec(0u8..8, 0..20)) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 16);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lru, 16);
         for k in &keys {
             cache.path_put(&format!("p{}", k), Arc::new(vec![]));
         }
@@ -90,7 +88,7 @@ proptest! {
         pool in 1usize..6,
         touches in 0usize..5,
     ) {
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, pool);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, EvictionPolicy::Lfu, pool);
         for i in 0..pool {
             cache.scope_put(&format!("k{i}"), Arc::new(vec![]));
         }
@@ -123,7 +121,7 @@ proptest! {
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let mut cache = KeyCentricCache::new(CacheGranularity::Scope, policy, pool);
+        let cache = KeyCentricCache::new(CacheGranularity::Scope, policy, pool);
         // Model: (key, freq, last_used), mirroring the cache's tick clock
         // (every get and put advances it by one).
         let mut tick = 0u64;
@@ -161,18 +159,17 @@ proptest! {
         prop_assert_eq!(cache.len(), pool);
     }
 
-    /// The sharded cache obeys the same global invariants as a single
-    /// pool: total length never exceeds the budget, and any key still
-    /// resident returns the last value put for it (routing is stable).
+    /// Under any mix of operations on both pools the cache stays within
+    /// its budget after every operation, and any key still resident
+    /// returns the last value put for it.
     #[test]
-    fn sharded_cache_respects_budget_and_routing(
+    fn cache_respects_budget_and_returns_last_put(
         ops in proptest::collection::vec(arb_op(), 0..200),
         pool in 0usize..16,
-        shards in 1usize..6,
         lfu in any::<bool>(),
     ) {
         let policy = if lfu { EvictionPolicy::Lfu } else { EvictionPolicy::Lru };
-        let cache = ShardedCache::new(CacheGranularity::Both, policy, pool, shards);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, policy, pool);
         let mut last_scope: std::collections::HashMap<String, Arc<Vec<VertexId>>> =
             std::collections::HashMap::new();
         for op in ops {
@@ -188,18 +185,12 @@ proptest! {
                 Op::PathPut(k) => { cache.path_put(&format!("p{k}"), Arc::new(vec![])); }
             }
             prop_assert!(cache.len() <= pool, "len {} > pool {}", cache.len(), pool);
-            // Shard budgets keep summing to the pool budget and no key
-            // leaks into a foreign shard, after every single operation.
-            cache.debug_assert_invariants();
         }
         for (key, value) in &last_scope {
             if let Some(got) = cache.scope_get(key) {
                 prop_assert_eq!(&got, value, "stale value for {}", key);
             }
         }
-        // Merged stats account for every lookup made above.
-        let _ = cache.stats().total_lookups();
-        let _ = cache.value_bytes();
     }
 }
 
@@ -270,7 +261,7 @@ proptest! {
         };
         let ex = QueryGraphExecutor::new(&g);
         let plain = ex.run(&gq, None).unwrap().answer;
-        let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64, 4);
+        let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 64);
         // Run twice so the second pass reads from a warm cache.
         let first = ex.execute_cached(&gq, Some(&cache)).unwrap().0;
         let second = ex.execute_cached(&gq, Some(&cache)).unwrap().0;

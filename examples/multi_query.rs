@@ -8,7 +8,7 @@
 //! cargo run -p svqa --example multi_query --release
 //! ```
 
-use svqa::executor::cache::ShardedCache;
+use svqa::executor::cache::KeyCentricCache;
 use svqa::executor::scheduler::QueryScheduler;
 use svqa::qparser::QueryGraphGenerator;
 use svqa::{Svqa, SvqaConfig};
@@ -42,7 +42,7 @@ fn main() {
     );
 
     // Uncached vs cached, both in the scheduler's order.
-    let plain = system.answer_batch_cached(&questions, &ShardedCache::disabled());
+    let plain = system.answer_batch_cached(&questions, &KeyCentricCache::disabled());
     let cached = system.answer_batch(&questions);
     let (t_plain, t_cached) = (plain.total, cached.total);
     let stats = cached.cache_stats;

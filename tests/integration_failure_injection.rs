@@ -98,7 +98,7 @@ fn empty_image_set_is_knowledge_only() {
 
 #[test]
 fn tiny_cache_pool_never_corrupts_answers() {
-    use svqa::executor::cache::{CacheGranularity, EvictionPolicy, ShardedCache};
+    use svqa::executor::cache::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 
     let mvqa = mvqa();
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
@@ -108,10 +108,10 @@ fn tiny_cache_pool_never_corrupts_answers() {
         .take(30)
         .map(|q| q.question.as_str())
         .collect();
-    let baseline = system.answer_batch_cached(&questions, &ShardedCache::disabled());
+    let baseline = system.answer_batch_cached(&questions, &KeyCentricCache::disabled());
     // A pathological pool of 1 item thrashes constantly but must stay
     // correct.
-    let tiny = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 1, 8);
+    let tiny = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 1);
     let thrashing = system.answer_batch_cached(&questions, &tiny);
     assert!(thrashing.cache_stats.total_lookups() > 0);
     assert_eq!(baseline.answers, thrashing.answers);

@@ -56,6 +56,31 @@ fn clean_question_lints_clean_and_answers_exactly_like_the_bare_executor() {
     assert_eq!(system.answer(question).expect("answers"), bare);
 }
 
+/// Lint checks a question against the thresholds the executor matches
+/// with: a typo'd category that the system's looser Levenshtein threshold
+/// still matches is answered, not rejected.
+#[test]
+fn lint_follows_the_configured_executor_thresholds() {
+    let mvqa = Mvqa::generate_small(250, 11);
+    let question = "What kind of sturctures are behind the zebra that is standing on the grass?";
+
+    let strict = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
+    match strict.answer(question) {
+        Err(SvqaError::Lint(report)) => assert!(report.has_errors()),
+        other => panic!("expected a lint rejection, got {other:?}"),
+    }
+
+    let mut config = SvqaConfig::default();
+    config.executor.lev_threshold = 0.7;
+    let loose = Svqa::build(&mvqa.images, &mvqa.kg, config.clone());
+    let gq = loose.parse(question).expect("parses");
+    let bare = QueryGraphExecutor::with_config(loose.merged_graph(), config.executor)
+        .run(&gq, None)
+        .expect("executes")
+        .answer;
+    assert_eq!(loose.answer(question).expect("answers"), bare);
+}
+
 #[test]
 fn generated_corpus_stays_statically_clean() {
     let (system, mvqa) = world();
@@ -131,11 +156,10 @@ fn hand_built_malformed_graphs_get_exact_codes() {
 #[test]
 fn batch_isolates_lint_rejections_per_question() {
     let (system, _) = world();
-    let cache = svqa::executor::ShardedCache::new(
+    let cache = svqa::executor::KeyCentricCache::new(
         svqa::executor::CacheGranularity::Both,
         svqa::executor::EvictionPolicy::Lfu,
         64,
-        4,
     );
     let questions = [
         "Does the dog appear in the car?",

@@ -62,11 +62,11 @@ fn build_and_batch_record_every_stage() {
 
 #[test]
 fn traced_single_question_reports_exact_cache_delta() {
-    use svqa::executor::{CacheGranularity, EvictionPolicy, ShardedCache};
+    use svqa::executor::{CacheGranularity, EvictionPolicy, KeyCentricCache};
 
     let mvqa = Mvqa::generate_small(60, 3);
     let system = Svqa::build(&mvqa.images, &mvqa.kg, SvqaConfig::default());
-    let cache = ShardedCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100, 4);
+    let cache = KeyCentricCache::new(CacheGranularity::Both, EvictionPolicy::Lfu, 100);
     let q = "Does the dog appear in the car?";
     let first = system.answer_with(q, Some(&cache), None);
     first.result.unwrap();
